@@ -46,12 +46,6 @@ Environment knobs (all optional):
 ``REPRO_BENCH_MIN_SPEEDUP``
     Hard floor for the largest graph's ID-phase speedup (default ``5.0``;
     CI relaxes it because shared runners are noisy).
-``REPRO_BENCH_TIER_MIN_SPEEDUP``
-    Hard floor for the two-tier screening leg's speedup over the untiered
-    incremental path (default ``2.0``).
-``REPRO_BENCH_TIER_EPSILON`` / ``REPRO_BENCH_TIER_TOPK``
-    Screening-band knobs for the tiered leg (defaults ``0.2`` / ``48`` —
-    the widest band measured to keep the deployment bit-identical here).
 """
 
 from __future__ import annotations
@@ -77,9 +71,6 @@ SIZES = [
 ]
 NUM_SAMPLES = int(os.environ.get("REPRO_BENCH_GREEDY_SAMPLES", "200"))
 MIN_SPEEDUP = float(os.environ.get("REPRO_BENCH_MIN_SPEEDUP", "5.0"))
-TIER_MIN_SPEEDUP = float(os.environ.get("REPRO_BENCH_TIER_MIN_SPEEDUP", "2.0"))
-TIER_EPSILON = float(os.environ.get("REPRO_BENCH_TIER_EPSILON", "0.2"))
-TIER_TOPK = int(os.environ.get("REPRO_BENCH_TIER_TOPK", "48"))
 CANDIDATE_LIMIT = 25
 PIVOT_LIMIT = 150
 TRAJECTORY_PATH = Path(__file__).resolve().parent.parent / "BENCH_greedy.json"
@@ -136,7 +127,7 @@ def _seed_accepts(result):
     )
 
 
-def _append_trajectory(points, aggregate, *, leg="incremental", **extra):
+def _append_trajectory(points, aggregate, **extra):
     """Append this run's measurements to the repo-root trajectory file."""
     data = {"benchmark": "greedy_id_phase", "runs": []}
     if TRAJECTORY_PATH.exists():
@@ -149,7 +140,7 @@ def _append_trajectory(points, aggregate, *, leg="incremental", **extra):
     data["runs"].append(
         {
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-            "leg": leg,
+            "leg": "incremental",
             "num_samples": NUM_SAMPLES,
             "candidate_limit": CANDIDATE_LIMIT,
             "points": points,
@@ -277,105 +268,4 @@ def test_greedy_incremental_speedup(report):
     assert largest >= MIN_SPEEDUP, (
         f"ID-phase speedup on the largest graph ({points[-1]['nodes']} nodes) "
         f"is {largest:.1f}x, below the {MIN_SPEEDUP}x bar"
-    )
-
-
-def _uncapped_id_phase(scenario, method, **estimator_kwargs):
-    """ID phase over the *uncapped* pivot queue (every affordable user is
-    priced, the paper's pseudo-code lines 1-8), timing estimator setup and
-    the phase run separately."""
-    with Timer() as setup:
-        estimator = make_estimator(
-            scenario,
-            method,
-            num_samples=NUM_SAMPLES,
-            seed=BENCH_SEED,
-            incremental=True,
-            use_kernel=False,
-            **estimator_kwargs,
-        )
-    phase = InvestmentDeployment(
-        scenario,
-        estimator,
-        candidate_limit=CANDIDATE_LIMIT,
-        max_pivot_candidates=None,
-        incremental=True,
-    )
-    with Timer() as timer:
-        result = phase.run()
-    return result, timer.elapsed, setup.elapsed, estimator
-
-
-@pytest.mark.benchmark(group="greedy")
-def test_greedy_tiered_screening_speedup(report):
-    """Two-tier estimation vs the untiered incremental path, ID phase only.
-
-    The regime is Fig. 9(c-d): budget swept well below the node count, so
-    pivot pricing — not the coupon loop — dominates the phase, and the pivot
-    queue is uncapped so every affordable user really is priced.  The sketch
-    screens each pricing batch down to its top-k+epsilon-band frontier and
-    only the frontier is MC-confirmed; both legs must still select the
-    bit-identical deployment.  Sketch sampling happens at estimator setup
-    (resident/amortized in the campaign server) and is recorded separately.
-    """
-    size = SIZES[-1]
-    scenario = synthetic_scenario(size, budget=size / 4.0, seed=BENCH_SEED)
-    untiered_result, untiered_seconds, _, _ = _uncapped_id_phase(
-        scenario, "mc-compiled"
-    )
-    tiered_result, tiered_seconds, tiered_setup, tiered_est = _uncapped_id_phase(
-        scenario, "tiered", tier_epsilon=TIER_EPSILON, tier_top_k=TIER_TOPK
-    )
-
-    # Screening must not change what the greedy selects — ever.
-    assert untiered_result.deployment.seeds == tiered_result.deployment.seeds
-    assert (
-        untiered_result.deployment.allocation
-        == tiered_result.deployment.allocation
-    )
-    assert untiered_result.iterations == tiered_result.iterations
-
-    stats = tiered_est.tier_stats
-    assert stats["screening_batches"] >= 1
-    assert stats["confirmed_candidates"] < stats["screened_candidates"]
-
-    speedup = untiered_seconds / tiered_seconds
-    point = {
-        "nodes": size,
-        "edges": scenario.num_edges,
-        "budget": scenario.budget_limit,
-        "iterations": untiered_result.iterations,
-        "untiered_seconds": round(untiered_seconds, 4),
-        "tiered_seconds": round(tiered_seconds, 4),
-        "speedup": round(speedup, 2),
-        "sketch_setup_seconds": round(tiered_setup, 4),
-        "screened": stats["screened_candidates"],
-        "confirmed": stats["confirmed_candidates"],
-        "screened_out": stats["screened_out_candidates"],
-        "screening_batches": stats["screening_batches"],
-        "speculative_evals": stats["speculative_evals"],
-        "speculative_hits": stats["speculative_hits"],
-        "identical_deployment": True,
-    }
-    text = format_table(
-        [point],
-        title=(
-            "ID phase: two-tier (RR-sketch screen + MC-confirmed frontier) vs "
-            f"untiered incremental, uncapped pivot queue ({NUM_SAMPLES} worlds, "
-            f"epsilon={TIER_EPSILON}, top_k={TIER_TOPK})"
-        ),
-    )
-    report("greedy_tiered", text)
-    _append_trajectory(
-        [point],
-        round(speedup, 2),
-        leg="tiered_screening",
-        max_pivot_candidates=None,
-        tier_epsilon=TIER_EPSILON,
-        tier_top_k=TIER_TOPK,
-    )
-
-    assert speedup >= TIER_MIN_SPEEDUP, (
-        f"tiered ID-phase speedup at {size} nodes is {speedup:.2f}x, "
-        f"below the {TIER_MIN_SPEEDUP}x bar"
     )

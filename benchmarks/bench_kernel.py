@@ -23,8 +23,8 @@ walk, not the per-evaluation bookkeeping, and shallow cascades would measure
 the latter.
 
 The measured points are appended to ``BENCH_kernel.json`` at the repository
-root.  When no native backend resolves (numba absent *and* no C compiler,
-or ``REPRO_NO_NATIVE_KERNEL`` set) the benchmark skips with the reason
+root.  When no native backend resolves (no C compiler, or
+``REPRO_NO_NATIVE_KERNEL`` set) the benchmark skips with the reason
 logged — the interpreted fallback is covered by the parity suite.
 
 Environment knobs (all optional):
@@ -138,9 +138,9 @@ def _append_trajectory(points, backend, effective_workers, parallel_skip_reason)
 def test_kernel_vs_interpreted_throughput(report):
     if kernels.load_kernel() is None:
         pytest.skip(
-            "no native cascade kernel backend resolves here (numba absent and "
-            "no C compiler, or REPRO_NO_NATIVE_KERNEL set) — nothing to "
-            "benchmark against the interpreted loop"
+            "no native cascade kernel backend resolves here (no C compiler, "
+            "or REPRO_NO_NATIVE_KERNEL set) — nothing to benchmark against "
+            "the interpreted loop"
         )
     backend = kernels.kernel_backend()
 

@@ -105,10 +105,10 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument(
             "--no-kernel", action="store_true",
             help="force the interpreted cascade loop instead of the native "
-                 "compiled kernel (numba or C backend); results are "
-                 "bit-identical either way, only slower — mainly for "
-                 "cross-checking (default: use the kernel when one is "
-                 "available, silently falling back otherwise)",
+                 "compiled C kernel; results are bit-identical either way, "
+                 "only slower — mainly for cross-checking (default: use the "
+                 "kernel when one is available, silently falling back "
+                 "otherwise)",
         )
         sub.add_argument(
             "--no-shared-memory", action="store_true",
@@ -116,26 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
                  "blocks instead of the zero-copy shared-memory store; "
                  "results are bit-identical either way (default: shared "
                  "memory whenever --workers evaluates out-of-process)",
-        )
-        sub.add_argument(
-            "--tier-epsilon", type=float, default=None,
-            help="two-tier screening band (--estimator tiered): evaluation "
-                 "batches are scored with the RR sketch and only slots within "
-                 "this relative band below the k-th best score are "
-                 "MC-confirmed (0 = top-k ties only, larger = more "
-                 "conservative; default 0.5)",
-        )
-        sub.add_argument(
-            "--tier-topk", type=_positive_int, default=None,
-            help="minimum number of top-scoring slots per batch the two-tier "
-                 "screening always MC-confirms (--estimator tiered; "
-                 "default 48)",
-        )
-        sub.add_argument(
-            "--no-tiering", action="store_true",
-            help="keep the tiered wrapper but dispatch every batch to the MC "
-                 "tier (cross-check mode for --estimator tiered; screening "
-                 "counters still report)",
         )
 
     def add_graph_source(sub: argparse.ArgumentParser) -> None:
@@ -261,9 +241,6 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         pipeline_depth=getattr(args, "pipeline_depth", None),
         use_kernel=False if getattr(args, "no_kernel", False) else None,
         shared_memory=False if getattr(args, "no_shared_memory", False) else None,
-        tier_epsilon=getattr(args, "tier_epsilon", None),
-        tier_top_k=getattr(args, "tier_topk", None),
-        tiering=not getattr(args, "no_tiering", False),
     )
 
 
@@ -325,9 +302,6 @@ def cmd_solve(args: argparse.Namespace) -> str:
         pipeline_depth=config.pipeline_depth,
         use_kernel=config.use_kernel,
         shared_memory=config.shared_memory,
-        tier_epsilon=config.tier_epsilon,
-        tier_top_k=config.tier_top_k,
-        tiering=config.tiering,
     )
     try:
         result = algorithm.solve()
@@ -346,11 +320,6 @@ def cmd_solve(args: argparse.Namespace) -> str:
         "explored_nodes": result.explored_nodes,
         "seconds": result.total_seconds,
     }
-    if result.tier_stats:
-        row["screened"] = result.tier_stats["screened_candidates"]
-        row["confirmed"] = result.tier_stats["confirmed_candidates"]
-        row["spec_evals"] = result.tier_stats["speculative_evals"]
-        row["spec_hits"] = result.tier_stats["speculative_hits"]
     return format_table([row], title=f"S3CA on {scenario.describe()}")
 
 

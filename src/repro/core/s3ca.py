@@ -58,10 +58,6 @@ class S3CAResult:
     num_paths: int
     num_maneuvers: int
     phase_seconds: Dict[str, float] = field(default_factory=dict)
-    #: Screening/speculation counters of the two-tier estimator (empty for
-    #: untiered runs): screened/confirmed/screened-out candidate counts,
-    #: screening batches, speculative evals and hits.
-    tier_stats: Dict[str, int] = field(default_factory=dict)
 
     @property
     def seeds(self) -> Set[NodeId]:
@@ -126,18 +122,6 @@ class S3CA:
         it on whenever the estimator supports it; the selected deployment is
         bit-identical to the eager full-resimulation path either way, only
         faster.  Pass ``False`` to force the eager path.
-    rr_prescreen:
-        Pre-rank the pivot candidates with a cheap RR-set upper bound before
-        any Monte-Carlo evaluation is paid (only meaningful together with
-        ``max_pivot_candidates``).  Changes which pivots are considered, so
-        off by default.  On a tiered estimator the resident sketch serves as
-        the prescreener instead of sampling a second one.
-    tier_epsilon / tier_top_k / tiering:
-        Screening knobs forwarded to the factory when ``estimator_method`` is
-        ``"tiered"`` (ignored otherwise, and when ``estimator`` is supplied):
-        band width and top-k of the sketch screening pass, and the
-        ``tiering=False`` cross-check switch.  Screening counters come back
-        in :attr:`S3CAResult.tier_stats`.
     shard_size / workers:
         Forwarded to the default estimator: sharded world sampling (bounded
         memory) and the multiprocess shard executor.  Both preserve
@@ -187,29 +171,19 @@ class S3CA:
         enable_scm: bool = True,
         spend_full_budget: bool = False,
         incremental: Optional[bool] = None,
-        rr_prescreen: bool = False,
         shard_size: Optional[int] = None,
         workers: Optional[int] = None,
         pool=None,
         pipeline_depth: Optional[int] = None,
         use_kernel: Optional[bool] = None,
         shared_memory: Optional[bool] = None,
-        tier_epsilon: Optional[float] = None,
-        tier_top_k: Optional[int] = None,
-        tiering: bool = True,
     ) -> None:
         self.scenario = scenario
-        self.seed = seed
-        tier_kwargs = {}
-        if tier_epsilon is not None:
-            tier_kwargs["tier_epsilon"] = tier_epsilon
-        if tier_top_k is not None:
-            tier_kwargs["tier_top_k"] = tier_top_k
         self.estimator = estimator or make_estimator(
             scenario, estimator_method, num_samples=num_samples, seed=seed,
             shard_size=shard_size, workers=workers, pool=pool,
             pipeline_depth=pipeline_depth, use_kernel=use_kernel,
-            shared_memory=shared_memory, tiering=tiering, **tier_kwargs,
+            shared_memory=shared_memory,
         )
         if isinstance(self.estimator, RRBenefitEstimator):
             warnings.warn(
@@ -227,24 +201,12 @@ class S3CA:
         self.enable_scm = enable_scm
         self.spend_full_budget = spend_full_budget
         self.incremental = incremental
-        self.rr_prescreen = rr_prescreen
-        self._prescreener: Optional[BenefitEstimator] = None
 
     # ------------------------------------------------------------------
 
     def solve(self) -> S3CAResult:
         """Run all three phases and return the result."""
         phase_seconds: Dict[str, float] = {}
-
-        prescreener = None
-        if self.rr_prescreen:
-            if self._prescreener is None:
-                # A tiered estimator already carries an RR sketch over this
-                # graph; reuse it instead of sampling a second one.
-                self._prescreener = getattr(
-                    self.estimator, "sketch", None
-                ) or make_estimator(self.scenario, "rr", seed=self.seed)
-            prescreener = self._prescreener
 
         with Timer() as timer:
             investment = InvestmentDeployment(
@@ -253,7 +215,6 @@ class S3CA:
                 candidate_limit=self.candidate_limit,
                 max_pivot_candidates=self.max_pivot_candidates,
                 incremental=self.incremental,
-                pivot_prescreener=prescreener,
             )
             id_result = investment.run()
         phase_seconds["investment_deployment"] = timer.elapsed
@@ -304,5 +265,4 @@ class S3CA:
             num_paths=num_paths,
             num_maneuvers=num_maneuvers,
             phase_seconds=phase_seconds,
-            tier_stats=dict(getattr(self.estimator, "tier_stats", {})),
         )

@@ -12,10 +12,7 @@ plain-IC regime (``rr_sets``).
 
 Construct estimators through :func:`make_estimator` (``factory``) rather than
 instantiating classes directly; the factory is the single switch point for
-the ``mc-compiled`` / ``mc`` / ``exact`` / ``rr`` / ``tiered`` methods.  The
-``tiered`` method wraps the compiled Monte-Carlo tier in a vectorized
-RR-sketch screening pass (``tiered``): every ``submit_many`` batch is scored
-with the sketch bound and only the frontier is MC-confirmed.
+the ``mc-compiled`` / ``mc`` / ``exact`` / ``rr`` methods.
 
 Batch evaluations — any set of candidate deployments compared against each
 other — through :class:`EvaluationPlan` / ``submit_many`` (``estimator``): the
@@ -37,10 +34,8 @@ from repro.diffusion.factory import (
 )
 from repro.diffusion.rr_sets import RRBenefitEstimator, RRSetSampler, estimate_spread_rr
 from repro.diffusion.sc_cascade import CascadeResult, simulate_sc_cascade
-from repro.diffusion.tiered import TieredEstimator
 
 __all__ = [
-    "TieredEstimator",
     "DEFAULT_ESTIMATOR_METHOD",
     "ESTIMATOR_METHODS",
     "RRBenefitEstimator",

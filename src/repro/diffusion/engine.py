@@ -517,14 +517,13 @@ class CompiledCascadeEngine:
         when the workers die.
     use_kernel:
         ``None`` (default) runs the cascade inner loop on the native compiled
-        kernel (:mod:`repro.diffusion.kernels` — numba ``@njit`` when numba
-        is importable, a C-compiled fallback otherwise) whenever one is
-        available, silently falling back to the interpreted loop when
-        neither backend exists.  ``True`` asks for the kernel explicitly and
+        kernel (:mod:`repro.diffusion.kernels`, C-compiled) whenever it is
+        available, silently falling back to the interpreted loop when no
+        compiler can build it.  ``True`` asks for the kernel explicitly and
         *warns* when it has to fall back; ``False`` forces the interpreted
         oracle path.  Activation queues, counts and benefits are
-        bit-identical either way — only speed changes.  The JIT is warmed on
-        a one-world dummy block here at construction, so the first timed
+        bit-identical either way — only speed changes.  The kernel is warmed
+        on a one-world dummy block here at construction, so the first timed
         evaluation never pays compilation latency;
         :attr:`kernel_compile_seconds` records what the warm-up cost.
     shared_memory:
@@ -663,15 +662,14 @@ class CompiledCascadeEngine:
             self._kernel = _kernels.load_kernel()
             if self._kernel is None and use_kernel is True:
                 warnings.warn(
-                    "no native cascade kernel backend is available (numba "
-                    "not importable, no C compiler); falling back to the "
-                    "interpreted cascade loop — results are identical, only "
-                    "slower",
+                    "no native cascade kernel backend is available (no C "
+                    "compiler); falling back to the interpreted cascade loop "
+                    "— results are identical, only slower",
                     stacklevel=2,
                 )
         num_nodes = compiled.num_nodes
         if self._kernel is not None:
-            # Warm the JIT on a one-world dummy block now, so the first real
+            # Warm the kernel on a one-world dummy block now, so the first real
             # evaluation (CELF pivot-queue timings, benchmarks) never pays
             # compilation latency; record what the warm-up cost.
             self.kernel_compile_seconds = self._kernel.warm()
@@ -706,7 +704,7 @@ class CompiledCascadeEngine:
 
     @property
     def kernel_backend(self) -> Optional[str]:
-        """Resolved native backend name (``"numba"``/``"cc"``) or ``None``."""
+        """Resolved native backend name (``"cc"``) or ``None``."""
         return self._kernel.backend if self._kernel is not None else None
 
     def world(self, world_index: int) -> WorldAdjacency:

@@ -20,17 +20,12 @@ from repro.diffusion.estimator import BenefitEstimator
 from repro.diffusion.exact import ExactEstimator
 from repro.diffusion.monte_carlo import MonteCarloEstimator
 from repro.diffusion.rr_sets import RRBenefitEstimator
-from repro.diffusion.tiered import (
-    DEFAULT_TIER_EPSILON,
-    DEFAULT_TIER_TOP_K,
-    TieredEstimator,
-)
 from repro.exceptions import EstimationError
 from repro.graph.social_graph import SocialGraph
 from repro.utils.rng import SeedLike
 
 #: Method names accepted by :func:`make_estimator`.
-ESTIMATOR_METHODS = ("mc-compiled", "mc", "exact", "rr", "tiered")
+ESTIMATOR_METHODS = ("mc-compiled", "mc", "exact", "rr")
 
 DEFAULT_ESTIMATOR_METHOD = "mc-compiled"
 
@@ -51,9 +46,6 @@ def make_estimator(
     pipeline_depth: Optional[int] = None,
     use_kernel: Optional[bool] = None,
     shared_memory: Optional[bool] = None,
-    tier_epsilon: float = DEFAULT_TIER_EPSILON,
-    tier_top_k: int = DEFAULT_TIER_TOP_K,
-    tiering: bool = True,
 ) -> BenefitEstimator:
     """Build a :class:`BenefitEstimator` for a scenario (or bare graph).
 
@@ -67,11 +59,7 @@ def make_estimator(
         ``"mc"`` — Monte-Carlo on the dict-adjacency reference backend;
         ``"exact"`` — exhaustive world enumeration (tiny graphs only);
         ``"rr"`` — reverse-reachable sets (plain-IC / unlimited-coupon regime
-        only; ignores the allocation);
-        ``"tiered"`` — two-tier estimation: an RR-sketch screening pass over
-        every ``submit_many`` batch with only the frontier dispatched to a
-        resident compiled Monte-Carlo tier (see
-        :class:`~repro.diffusion.tiered.TieredEstimator`).
+        only; ignores the allocation).
     num_samples / seed / cache_size:
         Monte-Carlo knobs; ``seed`` also drives the RR sampler.
     max_exact_edges:
@@ -112,12 +100,6 @@ def make_estimator(
         ``workers > 1``), ``True`` forces it (warning + by-value fallback
         when unavailable), ``False`` forces private copies.  Bit-identical
         estimates for every setting (compiled Monte-Carlo backend only).
-    tier_epsilon / tier_top_k / tiering:
-        Screening knobs of the ``"tiered"`` method (ignored by the others):
-        the top ``tier_top_k`` sketch scores of a batch plus everything
-        within a relative ``tier_epsilon`` band below the k-th are
-        MC-confirmed; ``tiering=False`` disables screening (cross-check
-        mode) while keeping the wrapper's counters.
     """
     graph = getattr(scenario_or_graph, "graph", scenario_or_graph)
     if not isinstance(graph, SocialGraph):
@@ -152,30 +134,6 @@ def make_estimator(
     if method == "rr":
         num_sets = num_rr_sets or max(2000, 25 * graph.num_nodes)
         return RRBenefitEstimator(graph, num_sets=num_sets, seed=seed)
-    if method == "tiered":
-        mc = MonteCarloEstimator(
-            graph,
-            num_samples=num_samples,
-            seed=seed,
-            cache_size=cache_size,
-            backend="compiled",
-            incremental=incremental,
-            shard_size=shard_size,
-            workers=workers,
-            pool=pool,
-            pipeline_depth=pipeline_depth,
-            use_kernel=use_kernel,
-            shared_memory=shared_memory,
-        )
-        num_sets = num_rr_sets or max(2000, 25 * graph.num_nodes)
-        sketch = RRBenefitEstimator(graph, num_sets=num_sets, seed=seed)
-        return TieredEstimator(
-            mc,
-            sketch,
-            tier_epsilon=tier_epsilon,
-            tier_top_k=tier_top_k,
-            tiering=tiering,
-        )
     raise EstimationError(
         f"unknown estimator method {method!r}; expected one of {ESTIMATOR_METHODS}"
     )

@@ -5,27 +5,19 @@ live adjacency, redeeming on not-yet-active targets until the coupons run out
 — is the single hottest code path in the library: every layer above it (the
 delta snapshot engine, the CELF queue, the shard pool, the batched evaluation
 scheduler) ultimately funnels into it once per world per evaluation.  This
-module provides *compiled* implementations of that loop operating on the flat
+module provides a *compiled* implementation of that loop operating on the flat
 contiguous arrays of :class:`~repro.diffusion.engine.FlatWorldBlock`:
 
-``numba``
-    :func:`numba.njit`-compiled kernels, used whenever numba is importable.
-    The JIT is warmed on a one-world dummy block at engine construction (see
-    :meth:`CascadeKernel.warm`) so first-evaluation latency never skews CELF
-    pivot-queue timings or benchmarks.
 ``cc``
-    A C translation of the same loops, compiled once with the system C
-    compiler (``cc``/``gcc``/``clang``) into a content-addressed shared
-    library under ``~/.cache/repro-kernels`` and loaded through
-    :mod:`ctypes`.  Used when numba is absent but a compiler is present —
-    the common case in slim containers.
+    A C translation of the loops, compiled once with the system C compiler
+    (``cc``/``gcc``/``clang``) into a content-addressed shared library under
+    ``~/.cache/repro-kernels`` and loaded through :mod:`ctypes`.
 ``None``
-    Neither backend available (or ``REPRO_NO_NATIVE_KERNEL`` set): callers
-    fall back to the interpreted loops in :mod:`repro.diffusion.engine`,
-    which remain the bit-identity *oracle* the compiled kernels are tested
-    against.
+    No compiler available (or ``REPRO_NO_NATIVE_KERNEL`` set): callers fall
+    back to the interpreted loops in :mod:`repro.diffusion.engine`, which
+    remain the bit-identity *oracle* the compiled kernel is tested against.
 
-Both backends implement the exact semantics of the interpreted
+The C backend implements the exact semantics of the interpreted
 ``cascade_block`` / ``cascade_world_instrumented`` pair — same FIFO order,
 same redemption bookkeeping, same coupon-limited flags — so activation
 queues, counts and benefits are **bit-identical** whichever path runs; the
@@ -65,9 +57,9 @@ from repro.utils.env import env_flag
 
 logger = logging.getLogger(__name__)
 
-#: Setting this environment variable (to any non-empty value) disables both
-#: native backends — the engine then runs the interpreted oracle.  This is
-#: how CI's "no-numba" leg and the forced-fallback tests exercise the
+#: Setting this environment variable (to any truthy value) disables the
+#: native backend — the engine then runs the interpreted oracle.  This is
+#: how CI's "no native kernel" leg and the forced-fallback tests exercise the
 #: degradation path deterministically.
 DISABLE_ENV = "REPRO_NO_NATIVE_KERNEL"
 
@@ -80,8 +72,7 @@ _C_SOURCE = r"""
 /* Both functions are line-for-line translations of the interpreted
  * cascade loops in repro/diffusion/engine.py (cascade_block and
  * CompiledCascadeEngine.cascade_world_instrumented).  Any semantic change
- * there must be mirrored here and in the numba kernels — the parity suite
- * fails otherwise. */
+ * there must be mirrored here — the parity suite fails otherwise. */
 
 int64_t repro_cascade_block(
     const int32_t *targets,
@@ -173,98 +164,6 @@ void repro_cascade_world_instrumented(
 """
 
 
-def _import_numba():
-    """Import hook isolated so tests can monkeypatch an ImportError."""
-    import numba  # noqa: F401  (numba's presence is the decision)
-
-    return numba
-
-
-def _make_numba_kernels():
-    """Build the ``@njit`` kernel pair; raises when numba is unusable."""
-    numba = _import_numba()
-    njit = numba.njit
-
-    @njit(cache=True, nogil=True)
-    def cascade_block_njit(
-        targets, offsets, seeds, coupons, visited, stamp, queue, counts
-    ):
-        num_worlds = offsets.shape[0]
-        for w in range(num_worlds):
-            stamp += 1
-            off = offsets[w]
-            qlen = 0
-            for s in range(seeds.shape[0]):
-                seed = seeds[s]
-                visited[seed] = stamp
-                queue[qlen] = seed
-                qlen += 1
-            head = 0
-            while head < qlen:
-                user = queue[head]
-                head += 1
-                remaining = coupons[user]
-                if remaining <= 0:
-                    continue
-                low = off[user]
-                high = off[user + 1]
-                for pos in range(low, high):
-                    neighbor = targets[pos]
-                    if visited[neighbor] == stamp:
-                        continue
-                    visited[neighbor] = stamp
-                    queue[qlen] = neighbor
-                    qlen += 1
-                    remaining -= 1
-                    if remaining <= 0:
-                        break
-            for q in range(qlen):
-                counts[queue[q]] += 1
-        return stamp
-
-    @njit(cache=True, nogil=True)
-    def cascade_world_instrumented_njit(
-        targets, off, seeds, coupons, visited, stamp, queue, limited
-    ):
-        qlen = 0
-        llen = 0
-        for s in range(seeds.shape[0]):
-            seed = seeds[s]
-            visited[seed] = stamp
-            queue[qlen] = seed
-            qlen += 1
-        head = 0
-        while head < qlen:
-            user = queue[head]
-            head += 1
-            remaining = coupons[user]
-            low = off[user]
-            high = off[user + 1]
-            if remaining <= 0:
-                if low < high:
-                    limited[llen] = user
-                    llen += 1
-                continue
-            if low == high:
-                continue
-            for pos in range(low, high):
-                neighbor = targets[pos]
-                if visited[neighbor] == stamp:
-                    continue
-                visited[neighbor] = stamp
-                queue[qlen] = neighbor
-                qlen += 1
-                remaining -= 1
-                if remaining <= 0:
-                    if pos < high - 1:
-                        limited[llen] = user
-                        llen += 1
-                    break
-        return qlen, llen
-
-    return cascade_block_njit, cascade_world_instrumented_njit
-
-
 def _cache_dir() -> Path:
     override = os.environ.get(CACHE_DIR_ENV)
     if override:
@@ -344,9 +243,9 @@ class CascadeKernel:
         self._block_fn = block_fn
         self._instrumented_fn = instrumented_fn
         self._warmed = False
-        #: Wall-clock seconds the one-off warm-up (JIT compilation for the
-        #: numba backend, shared-library compilation for the C backend)
-        #: cost in this process; 0.0 once warm or when a disk cache was hit.
+        #: Wall-clock seconds the one-off shared-library compilation and
+        #: warm-up cost in this process; 0.0 once warm or when a disk cache
+        #: was hit.
         self.compile_seconds = 0.0
 
     # -- entry points --------------------------------------------------
@@ -402,7 +301,7 @@ class CascadeKernel:
     def warm(self) -> float:
         """Compile/trigger both entry points on a one-world dummy block.
 
-        Engines call this at construction so the JIT cost lands before any
+        Engines call this at construction so first-call costs land before any
         timed evaluation (CELF pivot-queue timings, benchmarks) instead of
         inside the first one.  Idempotent per kernel instance; returns the
         seconds this call spent (0.0 once warm).
@@ -473,15 +372,6 @@ def _make_cc_kernel() -> Optional[CascadeKernel]:
     return kernel
 
 
-def _make_numba_kernel() -> Optional[CascadeKernel]:
-    try:
-        block_fn, instrumented_fn = _make_numba_kernels()
-    except Exception as error:  # ImportError, numba config errors, ...
-        logger.debug("numba cascade kernel unavailable: %s", error)
-        return None
-    return CascadeKernel("numba", block_fn, instrumented_fn)
-
-
 # Per-process kernel singleton: False = unresolved, None = resolved absent.
 _KERNEL: "CascadeKernel | None | bool" = False
 
@@ -491,7 +381,7 @@ def native_disabled() -> bool:
 
     Parsed through :func:`repro.utils.env.env_flag`, so ``0``/``false``/
     ``no``/``off``/empty behave exactly like leaving the variable unset —
-    only a truthy spelling disables the native backends.
+    only a truthy spelling disables the native backend.
     """
     return env_flag(DISABLE_ENV)
 
@@ -499,18 +389,16 @@ def native_disabled() -> bool:
 def load_kernel() -> Optional[CascadeKernel]:
     """The process-wide native kernel, or ``None`` when unavailable.
 
-    Resolution order: numba (``@njit``) when importable, then the
-    C-compiler backend, then ``None``.  The result is cached for the life
-    of the process; tests use :func:`reset_kernel_cache` to re-resolve
-    after monkeypatching the backends.
+    The C-compiler backend, or ``None`` when no compiler can build it.  The
+    result is cached for the life of the process; tests use
+    :func:`reset_kernel_cache` to re-resolve after monkeypatching the
+    backend.
     """
     global _KERNEL
     if native_disabled():
         return None
     if _KERNEL is False:
-        kernel = _make_numba_kernel()
-        if kernel is None:
-            kernel = _make_cc_kernel()
+        kernel = _make_cc_kernel()
         if kernel is None:
             logger.debug("no native cascade kernel backend available")
         _KERNEL = kernel
@@ -518,7 +406,7 @@ def load_kernel() -> Optional[CascadeKernel]:
 
 
 def kernel_backend() -> Optional[str]:
-    """Name of the resolved native backend (``"numba"``/``"cc"``/``None``)."""
+    """Name of the resolved native backend (``"cc"`` or ``None``)."""
     kernel = load_kernel()
     return kernel.backend if kernel is not None else None
 

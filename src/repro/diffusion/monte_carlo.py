@@ -182,8 +182,9 @@ class MonteCarloEstimator(BenefitEstimator):
         self.pool = self._engine.pool if self._engine is not None else None
         engine = self._engine
         #: Whether the native cascade kernel executes this estimator's worlds,
-        #: which backend resolved, and what warming its JIT cost (benchmark
-        #: instrumentation; all trivially False/None/0.0 on the dict backend).
+        #: which backend resolved, and what building and warming it cost
+        #: (benchmark instrumentation; all trivially False/None/0.0 on the
+        #: dict backend).
         self.kernel_active = engine.kernel_active if engine is not None else False
         self.kernel_backend = engine.kernel_backend if engine is not None else None
         self.kernel_compile_seconds = (

@@ -9,9 +9,8 @@ is then ``n * P(S hits a random RR set)``, and greedy seed selection becomes a
 maximum-coverage problem over the sampled RR sets.
 
 This module provides that machinery for the **plain IC model** (the model the
-IM/PM baselines reason in).  It is used as the screening tier of the two-tier
-estimator (:mod:`repro.diffusion.tiered`), as a faster backend for the IM
-selector on larger graphs, and as an independent cross-check of the
+IM/PM baselines reason in).  It is used as a faster backend for the IM
+selector on larger graphs and as an independent cross-check of the
 Monte-Carlo estimator in tests.  Note that it does not apply to the
 SC-constrained cascade: coupon limits break the reverse-reachability argument
 because whether an edge can carry influence depends on how many *other*
@@ -32,8 +31,8 @@ path is kept as the parity oracle (``backend="dict"``).
 
 Either way the sampled sets land in flat int arrays (``rr_flat`` /
 ``rr_offsets`` / ``root_index``) plus an inverted membership CSR, so coverage
-queries, benefit bounds and screening scores are vectorized and the arrays
-can ride the shared-memory machinery unchanged.
+queries are vectorized and the arrays can ride the shared-memory machinery
+unchanged.
 """
 
 from __future__ import annotations
@@ -354,10 +353,9 @@ class RRBenefitEstimator(BenefitEstimator):
     :meth:`expected_benefit` / :meth:`activation_probabilities` is ignored and
     every activated user is assumed able to refer all her friends.  That makes
     this estimator an *upper-bound* oracle — useful for the IM-U/PM-U
-    baselines, for candidate pre-screening, as the screening tier of
-    :class:`~repro.diffusion.tiered.TieredEstimator`, and for cross-checking
-    the Monte-Carlo estimator — but NOT a drop-in replacement inside the
-    coupon aware greedy phases; use the ``mc-compiled`` method there.
+    baselines and for cross-checking the Monte-Carlo estimator — but NOT a
+    drop-in replacement inside the coupon aware greedy phases; use the
+    ``mc-compiled`` method there.
 
     A node's activation probability is estimated from the RR sets *rooted at
     that node*: ``P(v active | S) ~ fraction of RR(v) samples hit by S``.
@@ -380,15 +378,6 @@ class RRBenefitEstimator(BenefitEstimator):
         self._by_root: Dict[NodeId, List[int]] = {}
         for index, root in enumerate(self.sampler.roots):
             self._by_root.setdefault(root, []).append(index)
-        self._root_counts = np.bincount(
-            self.sampler.root_index, minlength=len(self.sampler.nodes)
-        )
-        self._benefits = np.fromiter(
-            (graph.benefit(node) for node in self.sampler.nodes),
-            np.float64,
-            len(self.sampler.nodes),
-        )
-        self._singleton_vec: Optional[np.ndarray] = None
 
     def activation_probabilities(
         self, seeds: Iterable[NodeId], allocation: Mapping[NodeId, int]
@@ -419,100 +408,6 @@ class RRBenefitEstimator(BenefitEstimator):
             graph.benefit(node) * probability
             for node, probability in probabilities.items()
         )
-
-    # ------------------------------------------------------------------
-    # vectorized screening scores (the two-tier estimator's fast path)
-
-    def benefit_bound(self, seeds: Iterable[NodeId]) -> float:
-        """Plain-IC benefit estimate of ``seeds``, fully vectorized.
-
-        Numerically equal to :meth:`expected_benefit` up to float summation
-        order; used as the screening score where bit-level agreement with the
-        per-slot path is not required.
-        """
-        sampler = self.sampler
-        seed_indices = [
-            sampler.index_of[seed] for seed in set(seeds) if seed in sampler.index_of
-        ]
-        if not seed_indices:
-            return 0.0
-        hits = sampler.hit_root_counts(seed_indices)
-        fractions = np.zeros(len(self._root_counts), dtype=np.float64)
-        sampled = self._root_counts > 0
-        fractions[sampled] = hits[sampled] / self._root_counts[sampled]
-        fractions[seed_indices] = 1.0  # seeds are certainly active
-        return float(np.dot(self._benefits, fractions))
-
-    def benefit_bounds(
-        self, deployments: Sequence[Tuple[Iterable[NodeId], Mapping[NodeId, int]]]
-    ) -> List[float]:
-        """Screening scores for a batch of ``(seeds, allocation)`` specs.
-
-        Allocations are ignored (plain-IC relaxation): deployments differing
-        only in coupon placement score identically, which is exactly what
-        makes the tier's ``>=``-band screening structurally lossless on
-        same-seed-set batches.  Singleton seed sets — the shape of the whole
-        pivot-queue batch — read from the precomputed all-nodes bound vector
-        (:meth:`singleton_bound`), so screening a thousand-slot batch costs
-        one weighted ``bincount``, not a thousand coverage queries.
-        """
-        results: List[float] = []
-        for seeds, _ in deployments:
-            materialized = (
-                seeds
-                if isinstance(seeds, (list, tuple, set, frozenset))
-                else list(seeds)
-            )
-            if len(materialized) == 1:
-                results.append(self.singleton_bound(next(iter(materialized))))
-            else:
-                results.append(self.benefit_bound(materialized))
-        return results
-
-    def _ensure_singleton_bounds(self) -> None:
-        """Every node's singleton bound in one vectorized pass.
-
-        For a single seed ``v`` the per-root hit fraction is degenerate: a set
-        is hit iff it contains ``v``, and every set rooted at ``v`` contains
-        ``v`` (fraction 1, matching the seeds-are-active override).  So the
-        bound collapses to ``sum over sets containing v of
-        benefit(root)/count(root)`` — one ``bincount`` of ``rr_flat`` weighted
-        by each set's root term — plus the own-benefit term for nodes no set
-        is rooted at.
-        """
-        if self._singleton_vec is not None:
-            return
-        sampler = self.sampler
-        counts = self._root_counts
-        root_weight = np.where(
-            counts[sampler.root_index] > 0,
-            self._benefits[sampler.root_index]
-            / np.maximum(counts[sampler.root_index], 1),
-            0.0,
-        )
-        flat_weights = root_weight[
-            np.repeat(
-                np.arange(sampler.num_sets, dtype=np.int64),
-                np.diff(sampler.rr_offsets),
-            )
-        ]
-        raw = np.bincount(
-            sampler.rr_flat, weights=flat_weights, minlength=len(self._benefits)
-        )
-        self._singleton_vec = raw + self._benefits * (counts == 0)
-
-    def singleton_bound(self, node: NodeId) -> float:
-        """The single-seed screening score of ``node``, from the bound vector.
-
-        Numerically equal to ``benefit_bound([node])`` up to float summation
-        order (both are used only for ordering and banded thresholds).
-        """
-        index = self.sampler.index_of.get(node)
-        if index is None:
-            return 0.0
-        self._ensure_singleton_bounds()
-        assert self._singleton_vec is not None
-        return float(self._singleton_vec[index])
 
 
 def estimate_spread_rr(

@@ -84,15 +84,6 @@ class ExperimentConfig:
     #: forces private copies.  Results are bit-identical for every setting —
     #: only broadcast size and memory change.
     shared_memory: Optional[bool] = None
-    #: Two-tier screening knobs (``estimator_method="tiered"`` only): the
-    #: top ``tier_top_k`` sketch scores of every evaluation batch plus the
-    #: relative ``tier_epsilon`` band below the k-th are MC-confirmed;
-    #: everything else returns its calibrated sketch score.  ``None`` keeps
-    #: the factory defaults.  ``tiering=False`` disables screening while
-    #: keeping the tiered wrapper (cross-check mode).
-    tier_epsilon: Optional[float] = None
-    tier_top_k: Optional[int] = None
-    tiering: bool = True
 
     def __post_init__(self) -> None:
         if self.estimator_method not in ESTIMATOR_METHODS:
@@ -117,14 +108,6 @@ class ExperimentConfig:
         if self.pipeline_depth is not None and self.pipeline_depth <= 0:
             raise ExperimentError(
                 f"pipeline_depth must be > 0 or None, got {self.pipeline_depth}"
-            )
-        if self.tier_epsilon is not None and not 0.0 <= self.tier_epsilon <= 1.0:
-            raise ExperimentError(
-                f"tier_epsilon must be in [0, 1] or None, got {self.tier_epsilon}"
-            )
-        if self.tier_top_k is not None and self.tier_top_k <= 0:
-            raise ExperimentError(
-                f"tier_top_k must be > 0 or None, got {self.tier_top_k}"
             )
 
     def replace(self, **changes) -> "ExperimentConfig":

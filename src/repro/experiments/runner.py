@@ -30,16 +30,12 @@ NodeId = Hashable
 def shared_pool_for(config: ExperimentConfig):
     """A :class:`SharedShardPool` for ``config``, or ``None`` when pointless.
 
-    A pool only helps the compiled Monte-Carlo backend — including the MC
-    tier inside the tiered estimator — the other estimator methods ignore
-    it, so spinning up worker processes for them would leak idle children
-    for the duration of a sweep.  The caller owns the returned pool and must
+    A pool only helps the compiled Monte-Carlo backend — the other estimator
+    methods ignore it, so spinning up worker processes for them would leak
+    idle children for the duration of a sweep.  The caller owns the returned pool and must
     close it.
     """
-    if (config.workers or 1) > 1 and config.estimator_method in (
-        "mc-compiled",
-        "tiered",
-    ):
+    if (config.workers or 1) > 1 and config.estimator_method == "mc-compiled":
         from repro.diffusion.parallel import SharedShardPool
 
         return SharedShardPool(config.workers)
@@ -102,15 +98,6 @@ class ExperimentRunner:
                 pipeline_depth=self.config.pipeline_depth,
                 use_kernel=self.config.use_kernel,
                 shared_memory=self.config.shared_memory,
-                tiering=self.config.tiering,
-                **{
-                    key: value
-                    for key, value in (
-                        ("tier_epsilon", self.config.tier_epsilon),
-                        ("tier_top_k", self.config.tier_top_k),
-                    )
-                    if value is not None
-                },
             )
         self.estimator = estimator
 
@@ -197,8 +184,6 @@ class ExperimentRunner:
                 "num_paths": float(raw.num_paths),
                 "num_maneuvers": float(raw.num_maneuvers),
             }
-            for key, value in raw.tier_stats.items():
-                extras[f"tier_{key}"] = float(value)
         elif isinstance(raw, AlgorithmResult):
             deployment = raw.deployment
             extras = dict(raw.extras)

@@ -54,32 +54,12 @@ class RegisterScenarioRequest(BaseModel):
 
 
 class SolveRequest(BaseModel):
-    """Enqueue one S3CA solve of a registered scenario.
-
-    ``tiered`` wraps the scenario's resident Monte-Carlo estimator in the
-    two-tier screening estimator for this solve: every evaluation batch is
-    scored with the scenario's resident RR sketch (sampled once per scenario
-    and reused across solves) and only the top-``tier_topk`` slots plus the
-    relative ``tier_epsilon`` band below the k-th are MC-confirmed.  The
-    response's ``tier_stats`` carries the screened/confirmed/speculative
-    counters.
-    """
+    """Enqueue one S3CA solve of a registered scenario."""
 
     candidate_limit: Optional[int] = Field(default=8, gt=0)
     pivot_limit: Optional[int] = Field(default=20, gt=0)
     spend_full_budget: bool = False
     incremental: bool = True
-    tiered: bool = False
-    tier_epsilon: Optional[float] = Field(default=None, ge=0.0, le=1.0)
-    tier_topk: Optional[int] = Field(default=None, gt=0)
-
-    @model_validator(mode="after")
-    def _tier_knobs_need_tiered(self) -> "SolveRequest":
-        if not self.tiered and (
-            self.tier_epsilon is not None or self.tier_topk is not None
-        ):
-            raise ValueError("tier_epsilon/tier_topk need 'tiered': true")
-        return self
 
 
 #: Wire names of the graph event types, matching

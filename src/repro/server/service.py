@@ -31,7 +31,6 @@ from typing import Dict, Hashable, List, Optional, Set, Tuple
 from repro.core.deployment import Deployment
 from repro.core.s3ca import S3CA, S3CAResult
 from repro.diffusion.parallel import SharedShardPool
-from repro.diffusion.tiered import TieredEstimator
 from repro.exceptions import ReproError
 from repro.experiments.config import ServerConfig
 from repro.graph.events import GraphEventBatch
@@ -122,23 +121,10 @@ class CampaignService:
         with entry.lock:
             estimator, built = entry.ensure_estimator(self.config, self.pool)
             kernel_compile_seconds = estimator.kernel_compile_seconds if built else 0.0
-            solve_estimator = estimator
-            sketch_built = False
-            if request.tiered:
-                # Per-solve throwaway wrapper around the two resident tiers:
-                # the MC estimator and the RR sketch both stay warm; only the
-                # screening knobs (and counters) are per-request.
-                sketch, sketch_built = entry.ensure_sketch()
-                tier_kwargs = {}
-                if request.tier_epsilon is not None:
-                    tier_kwargs["tier_epsilon"] = request.tier_epsilon
-                if request.tier_topk is not None:
-                    tier_kwargs["tier_top_k"] = request.tier_topk
-                solve_estimator = TieredEstimator(estimator, sketch, **tier_kwargs)
             began = time.perf_counter()
             algorithm = S3CA(
                 entry.scenario,
-                estimator=solve_estimator,
+                estimator=estimator,
                 candidate_limit=request.candidate_limit,
                 max_pivot_candidates=request.pivot_limit,
                 spend_full_budget=request.spend_full_budget,
@@ -158,19 +144,14 @@ class CampaignService:
                     entry.estimator_build_seconds if built else 0.0
                 ),
                 "kernel_compile_seconds": kernel_compile_seconds,
-                "sketch_build_seconds": (
-                    entry.sketch_build_seconds if sketch_built else 0.0
-                ),
                 "solve_seconds": solve_seconds,
                 "phase_seconds": dict(result.phase_seconds),
             }
             payload["resident"] = {
                 "estimator_reused": not built,
-                "sketch_reused": request.tiered and not sketch_built,
                 "graph_compiles": entry.graph_compiles,
                 "estimator_builds": entry.estimator_builds,
                 "kernel_warmups": entry.kernel_warmups,
-                "sketch_builds": entry.sketch_builds,
                 "kernel_backend": estimator.kernel_backend,
                 "shared_memory_active": estimator.shared_memory_active,
                 "pool_workers": self.pool.workers if self.pool is not None else 1,
@@ -182,7 +163,7 @@ class CampaignService:
     def _solve_payload(
         entry: ResidentScenario, result: S3CAResult, request: SolveRequest
     ) -> dict:
-        payload = {
+        return {
             "scenario_id": entry.scenario_id,
             "algorithm": "S3CA",
             "options": request.model_dump(),
@@ -201,11 +182,6 @@ class CampaignService:
             "num_paths": int(result.num_paths),
             "num_maneuvers": int(result.num_maneuvers),
         }
-        if request.tiered:
-            payload["tier_stats"] = {
-                key: int(value) for key, value in result.tier_stats.items()
-            }
-        return payload
 
     # ------------------------------------------------------------------
     # what-if queries
@@ -358,10 +334,6 @@ class CampaignService:
                 # Nothing resident yet: evolve the graph alone; the first
                 # solve compiles the evolved graph as usual.
                 graph.apply_events(batch)
-            # The RR screening sketch has no reconcile path (its reverse
-            # traversals were sampled against the old topology): drop it and
-            # let the next tiered solve resample.
-            entry.drop_sketch()
             entry.events_applied += 1
 
             base = entry.last_solve

@@ -8,10 +8,7 @@ scenario and keeps the results resident:
   CSR graph cached on the :class:`~repro.graph.social_graph.SocialGraph`),
 * one RNG-frozen :class:`~repro.diffusion.monte_carlo.MonteCarloEstimator`
   whose worlds, delta engine, memo caches and warmed kernel all of the
-  scenario's solves and what-if queries share,
-* for tiered solves, one :class:`~repro.diffusion.rr_sets.RRBenefitEstimator`
-  screening sketch sampled on the first ``"tiered": true`` solve and reused
-  by every later one (dropped when graph events evolve the topology), and
+  scenario's solves and what-if queries share, and
 * counters proving what was (and was not) re-paid — ``graph_compiles`` /
   ``estimator_builds`` / ``kernel_warmups`` stay at 1 however many solves
   run, which is exactly what the warm-start tests assert.
@@ -32,7 +29,6 @@ from typing import Dict, List, Optional
 
 from repro.diffusion.factory import make_estimator
 from repro.diffusion.monte_carlo import MonteCarloEstimator
-from repro.diffusion.rr_sets import RRBenefitEstimator
 from repro.economics.scenario import Scenario
 from repro.exceptions import ReproError
 from repro.experiments.config import ServerConfig
@@ -56,20 +52,13 @@ class ResidentScenario:
     #: this lock, so they never interleave on the shared delta engine.
     lock: threading.RLock = field(default_factory=threading.RLock)
     estimator: Optional[MonteCarloEstimator] = None
-    #: The screening tier of tiered solves: one RR sketch sampled on the
-    #: first ``"tiered": true`` solve and reused by every later one (the
-    #: per-solve :class:`~repro.diffusion.tiered.TieredEstimator` wrapper is
-    #: throwaway; the sketch and the MC tier are the expensive parts).
-    sketch: Optional[RRBenefitEstimator] = None
     #: Amortised-cost counters (each should hit 1 and stay there).
     graph_compiles: int = 0
     estimator_builds: int = 0
     kernel_warmups: int = 0
-    sketch_builds: int = 0
     #: Wall-clock of the one-time builds (0.0 until they happen).
     graph_compile_seconds: float = 0.0
     estimator_build_seconds: float = 0.0
-    sketch_build_seconds: float = 0.0
     #: Request counters.
     solves_completed: int = 0
     whatifs_answered: int = 0
@@ -113,31 +102,6 @@ class ResidentScenario:
             self.kernel_warmups += 1
         return self.estimator, True
 
-    def ensure_sketch(self) -> tuple:
-        """The resident RR screening sketch, sampling it on first use.
-
-        Returns ``(sketch, built)`` like :meth:`ensure_estimator`.  The
-        sketch is dropped whenever a graph-event batch evolves the graph
-        (its RR sets were sampled against the old topology), so the next
-        tiered solve resamples it.  Callers hold :attr:`lock`.
-        """
-        if self.sketch is not None:
-            return self.sketch, False
-        began = time.perf_counter()
-        graph = self.scenario.graph
-        self.sketch = RRBenefitEstimator(
-            graph,
-            num_sets=max(2000, 25 * graph.num_nodes),
-            seed=self.seed,
-        )
-        self.sketch_build_seconds = time.perf_counter() - began
-        self.sketch_builds += 1
-        return self.sketch, True
-
-    def drop_sketch(self) -> None:
-        """Invalidate the resident sketch (the graph changed under it)."""
-        self.sketch = None
-
     def close(self) -> None:
         """Release the resident estimator (injected pools are left alone)."""
         with self.lock:
@@ -161,11 +125,9 @@ class ResidentScenario:
             "seed": self.seed,
             "resident": {
                 "estimator_built": estimator is not None,
-                "sketch_built": self.sketch is not None,
                 "graph_compiles": self.graph_compiles,
                 "estimator_builds": self.estimator_builds,
                 "kernel_warmups": self.kernel_warmups,
-                "sketch_builds": self.sketch_builds,
                 "kernel_backend": (
                     estimator.kernel_backend if estimator is not None else None
                 ),

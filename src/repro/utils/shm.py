@@ -50,6 +50,11 @@ except ImportError:  # pragma: no cover - exotic platforms only
     _resource_tracker = None
     _SharedMemory = None
 
+try:  # pragma: no cover - present wherever POSIX shared memory is
+    import _posixshmem
+except ImportError:  # pragma: no cover - non-POSIX platforms
+    _posixshmem = None
+
 #: Prefix of every segment this package creates; the leak probes and the CI
 #: assertion key on it.
 SEGMENT_PREFIX = "repro-"
@@ -183,8 +188,17 @@ def create_segment(name: Optional[str], size: int):
 
 def attach_segment(name: str):
     """Attach to an existing untracked segment (:class:`FileNotFoundError`
-    when it does not exist — the caller's fallback path)."""
-    return _open_segment(name, create=False)
+    when it does not exist — the caller's fallback path).
+
+    ``SharedMemory(create=True)`` opens the name before it sizes it, so a
+    concurrent attacher can find a zero-length segment that cannot be
+    mapped.  Such a segment is not published yet and raises
+    :class:`FileNotFoundError` too.
+    """
+    try:
+        return _open_segment(name, create=False)
+    except ValueError:  # mmap refuses the still-empty segment
+        raise FileNotFoundError(f"shared-memory segment {name!r} is not sized yet")
 
 
 def close_segment(segment) -> None:
@@ -210,19 +224,16 @@ def unlink_segment(name: str) -> bool:
 
     Safe to call for segments created by *other* processes (the worker-crash
     sweep does exactly that); attached processes keep their mappings alive,
-    only the name disappears.
+    only the name disappears.  The name is removed without mapping it, so a
+    segment whose creator has not sized it yet is removed too.
     """
     _OWNED.pop(name, None)
-    try:
-        segment = attach_segment(name)
-    except FileNotFoundError:
-        return False
-    except OSError:  # pragma: no cover - permissions, platform quirks
+    if _posixshmem is None:  # pragma: no cover - exotic platforms only
         return False
     try:
-        segment.unlink()
-    finally:
-        close_segment(segment)
+        _posixshmem.shm_unlink("/" + name)
+    except OSError:  # FileNotFoundError: nothing to remove
+        return False
     return True
 
 

@@ -121,6 +121,26 @@ def test_expected_spreads_match_single_calls(toy):
     ]
 
 
+def test_plan_want_probabilities(scenario):
+    estimator = make_estimator(scenario, num_samples=20, seed=SEED)
+    try:
+        nodes = sorted(scenario.graph.nodes(), key=str)[:3]
+        plan = estimator.plan()
+        flagged = plan.add([nodes[0]], {}, want_probabilities=True)
+        plain = plan.add([nodes[1]], {})
+        with pytest.raises(RuntimeError):
+            plan.probabilities(flagged)
+        plan.execute()
+        assert plan.probabilities(flagged) == (
+            estimator.activation_probabilities([nodes[0]], {})
+        )
+        with pytest.raises(KeyError):
+            plan.probabilities(plain)
+        assert plan.benefit(plain) == estimator.expected_benefit([nodes[1]], {})
+    finally:
+        estimator.close()
+
+
 def test_pipeline_depth_knob_validation(toy):
     estimator = make_estimator(toy, num_samples=10, seed=1, pipeline_depth=7)
     assert estimator.pipeline_depth == 7

@@ -47,6 +47,8 @@ def test_unknown_method_and_bad_input_rejected():
     with pytest.raises(EstimationError):
         make_estimator(toy_scenario(), "quantum")
     with pytest.raises(EstimationError):
+        make_estimator(toy_scenario(), "tiered")
+    with pytest.raises(EstimationError):
         make_estimator(42)
 
 

@@ -148,6 +148,30 @@ def test_sigkilled_publisher_cannot_leak_the_parent_sweeps_the_grid(two_hop_path
     del engine
 
 
+def test_unsized_ready_sentinel_counts_as_unpublished():
+    """A sentinel another process has created but not yet sized is absent.
+
+    ``SharedMemory(create=True)`` opens the name before it ``ftruncate``s
+    it, so a concurrent reader can find a zero-length segment.  ``load``
+    must fall back to a private draw instead of crashing on the empty
+    mapping, and the sweep must still remove the half-made name.
+    """
+    posixshmem = pytest.importorskip("_posixshmem")
+    store = SharedBlockStore(f"unsized{os.getpid()}")
+    ready = store.ready_name(0, 10)
+    # The creator's first step, frozen: the name exists, its length is zero.
+    fd = posixshmem.shm_open("/" + ready, os.O_CREAT | os.O_EXCL | os.O_RDWR, mode=0o600)
+    os.close(fd)
+    try:
+        assert ready in _repro_segments()
+        assert store.load(0, 10, 5) is None
+        assert store.attach_count == 0
+    finally:
+        removed = store.sweep([(0, 10)])
+    assert removed == 1
+    assert ready not in _repro_segments()
+
+
 def test_forced_shared_memory_warns_and_falls_back_when_unavailable(
     monkeypatch, two_hop_path
 ):

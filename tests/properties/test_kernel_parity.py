@@ -223,13 +223,8 @@ def test_full_s3ca_deployment_identical_with_and_without_kernel():
 
 @pytest.fixture
 def no_native_backend(monkeypatch):
-    """Make every native backend unresolvable, as if numba were uninstalled
-    and no C compiler existed; restores the real resolution afterwards."""
-
-    def raise_import_error():
-        raise ImportError("numba is not installed")
-
-    monkeypatch.setattr(kernels, "_import_numba", raise_import_error)
+    """Make the C backend unresolvable, as if no C compiler existed;
+    restores the real resolution afterwards."""
     monkeypatch.setattr(kernels, "_build_cc_library", lambda: (None, 0.0))
     kernels.reset_kernel_cache()
     yield

@@ -9,13 +9,11 @@ identically — the same targets are drawn and the same coins accepted, for any
 graph and seed.  These tests pin that contract at the sampler level (sets,
 roots, flat-array shape), at the coverage level, and through
 :class:`~repro.diffusion.rr_sets.RRBenefitEstimator`'s probability and
-benefit surfaces, including the vectorized screening bound the two-tier
-estimator runs on.
+benefit surfaces.
 """
 
 import hypothesis.strategies as st
 import numpy as np
-import pytest
 from hypothesis import given, settings
 
 from repro.diffusion.rr_sets import RRBenefitEstimator, RRSetSampler
@@ -103,14 +101,6 @@ def test_rr_estimator_probabilities_and_bounds_match(graph, seed, data):
         oracle.activation_probabilities(seeds, {})
     )
     assert csr.expected_benefit(seeds, {}) == oracle.expected_benefit(seeds, {})
-    # The vectorized screening score agrees with the per-slot benefit up to
-    # float summation order — the tolerance the tier's >=-band absorbs.
-    assert csr.benefit_bound(seeds) == pytest.approx(
-        csr.expected_benefit(seeds, {}), rel=1e-9, abs=1e-9
-    )
-    assert csr.benefit_bounds([(seeds, {}), (seeds, {"ignored": 3})])[0] == (
-        csr.benefit_bounds([(seeds, {})])[0]
-    )
 
 
 def test_greedy_seeds_identical_across_backends():

@@ -232,8 +232,21 @@ def test_sigint_mid_solve_exits_clean(tmp_path):
         start_new_session=True,
         text=True,
     )
+    children = f"/proc/{process.pid}/task/{process.pid}/children"
     try:
-        time.sleep(4.0)  # let the pool spin up and the solve get going
+        # Interrupt half a second after the pool's workers appear, i.e. while
+        # the solve is under way.  A fixed delay raced the solve itself (a
+        # few seconds here); without /proc the wait falls back to 3.5 s.
+        deadline = time.monotonic() + 3.5
+        while time.monotonic() < deadline and process.poll() is None:
+            try:
+                with open(children) as handle:
+                    if handle.read().split():
+                        break
+            except OSError:
+                pass
+            time.sleep(0.05)
+        time.sleep(0.5)
         if process.poll() is not None:  # pragma: no cover - solve too fast
             pytest.skip("solve finished before the interrupt could land")
         process.send_signal(signal.SIGINT)
