@@ -15,7 +15,12 @@ benefit evaluation costs milliseconds (the regime the kernel exists for):
   bit (``identical_benefits``); the benchmark fails otherwise, whatever the
   speedup;
 * **warm-up accounting** — the resolved backend name and the one-off
-  compile/warm-up seconds recorded at engine construction.
+  compile/warm-up seconds recorded at engine construction;
+* **instrumented pass** — µs per world of a full instrumented pass (the
+  pass behind delta snapshots, splices and reconciles), kernel vs
+  interpreted, with every world's queue and limited list asserted equal.
+  The kernel cascades the whole pass in one native call, so this row moves
+  with the engine → kernel crossing, not only the kernel body.
 
 The deployments are deliberately heavy (many seeds, coupons on every
 spreader) so cascades run deep: the kernel accelerates the per-activation
@@ -109,7 +114,8 @@ def _throughput(engine, deployments):
     return benefits, rate
 
 
-def _append_trajectory(points, backend, effective_workers, parallel_skip_reason):
+def _append_run(run):
+    """Append one timestamped run record to ``BENCH_kernel.json``."""
     data = {"benchmark": "kernel_cascade", "runs": []}
     if TRAJECTORY_PATH.exists():
         try:
@@ -118,9 +124,13 @@ def _append_trajectory(points, backend, effective_workers, parallel_skip_reason)
                 data = loaded
         except (json.JSONDecodeError, OSError):
             pass  # corrupt or unreadable: start a fresh trajectory
-    data["runs"].append(
+    data["runs"].append({"timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"), **run})
+    TRAJECTORY_PATH.write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")
+
+
+def _append_trajectory(points, backend, effective_workers, parallel_skip_reason):
+    _append_run(
         {
-            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
             "kernel_backend": backend,
             "num_samples": NUM_SAMPLES,
             "evaluations": NUM_EVALS,
@@ -131,7 +141,6 @@ def _append_trajectory(points, backend, effective_workers, parallel_skip_reason)
             "points": points,
         }
     )
-    TRAJECTORY_PATH.write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")
 
 
 @pytest.mark.benchmark(group="kernel")
@@ -236,4 +245,85 @@ def test_kernel_vs_interpreted_throughput(report):
     assert largest["speedup"] >= MIN_SPEEDUP, (
         f"serial kernel speedup on the largest graph ({largest['nodes']} "
         f"nodes) is {largest['speedup']:.2f}x, below the {MIN_SPEEDUP}x bar"
+    )
+
+
+def _instrumented_pass_us_per_world(engine, deployments, repeats):
+    """(per-deployment passes, µs per world) of full instrumented passes."""
+    compiled = engine.compiled
+    dense_deployments = []
+    for seeds, allocation in deployments:
+        dense = [0] * compiled.num_nodes
+        for node, count in allocation.items():
+            dense[compiled.index[node]] = count
+        dense_deployments.append((compiled.indices_of(seeds), dense))
+    worlds = range(engine.num_worlds)
+    passes = [
+        engine.cascade_worlds_instrumented(worlds, seed_indices, dense)
+        for seed_indices, dense in dense_deployments
+    ]  # also the warm-up: buffers reach their full-pass size here
+    with Timer() as timer:
+        for _ in range(repeats):
+            for seed_indices, dense in dense_deployments:
+                engine.cascade_worlds_instrumented(worlds, seed_indices, dense)
+    worlds_run = repeats * len(dense_deployments) * engine.num_worlds
+    return passes, timer.elapsed * 1e6 / worlds_run
+
+
+@pytest.mark.benchmark(group="kernel")
+def test_instrumented_pass_us_per_world(report):
+    """µs per world of a full instrumented pass: one native call per pass.
+
+    This is the pass the delta engine's snapshot, splices and reconciles
+    run; the layer it measures is the engine → kernel crossing plus the
+    kernel body.  Every kernel pass must equal the interpreted oracle's,
+    world for world.
+    """
+    if kernels.load_kernel() is None:
+        pytest.skip(
+            "no native cascade kernel backend resolves here (no C compiler, "
+            "or REPRO_NO_NATIVE_KERNEL set)"
+        )
+    repeats = 5
+    rows = []
+    for size in SIZES:
+        scenario = synthetic_scenario(size, budget=2.0 * size, seed=BENCH_SEED)
+        compiled = scenario.graph.compiled()
+        deployments = _deployments(scenario, NUM_EVALS)
+        timings = {}
+        results = {}
+        for use_kernel in (True, False):
+            engine = CompiledCascadeEngine(
+                compiled, NUM_SAMPLES, seed=BENCH_SEED, use_kernel=use_kernel
+            )
+            results[use_kernel], timings[use_kernel] = _instrumented_pass_us_per_world(
+                engine, deployments, repeats
+            )
+        assert results[True] == results[False]
+        rows.append(
+            {
+                "nodes": size,
+                "edges": scenario.num_edges,
+                "kernel_us_per_world": round(timings[True], 3),
+                "interpreted_us_per_world": round(timings[False], 3),
+                "speedup": round(timings[False] / timings[True], 2),
+                "identical_passes": True,
+            }
+        )
+    title = (
+        f"Full instrumented pass: µs per world ({NUM_SAMPLES} worlds, "
+        f"{NUM_EVALS} deployments x {repeats} repeats)"
+    )
+    report("kernel_instrumented_pass", format_table(rows, title=title))
+    _append_run(
+        {
+            "leg": "instrumented_pass",
+            "layer": "engine/kernel crossing",
+            "kernel_backend": kernels.kernel_backend(),
+            "num_samples": NUM_SAMPLES,
+            "evaluations": NUM_EVALS,
+            "repeats": repeats,
+            "usable_cores": _usable_cores(),
+            "points": rows,
+        }
     )

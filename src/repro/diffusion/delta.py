@@ -530,7 +530,8 @@ class DeltaCascadeEngine:
         ):
             return None
         compiled = self.engine.compiled
-        new_seed_indices = compiled.indices_of(sorted(new_seeds, key=str))
+        new_seeds = sorted(new_seeds, key=str)
+        new_seed_indices = compiled.indices_of(new_seeds)
         position = compiled.index.get(node)
         if position is None or position in self._base_seed_indices:
             return None
@@ -606,6 +607,8 @@ class DeltaCascadeEngine:
 
         if outcome.delta_index is not None and outcome.delta_index.size:
             self._base_counts[outcome.delta_index] += outcome.delta_values
+        # Graph-event reconciliation re-resolves the identifiers.
+        self._base_seeds = new_seeds
         self._base_seed_indices = new_seed_indices
         self._base_alloc = new_alloc
         self._base_coupons[position] = seed_coupons

@@ -76,6 +76,13 @@ _MAX_CACHED_BLOCKS = 2
 #: Draw-and-discard chunk for bit generators without ``advance``.
 _DISCARD_CHUNK = 65_536
 
+#: Draw positions per column chunk of a :class:`LayerDraws` store.
+_DRAW_CHUNK = 128
+
+#: Worlds whose stored draws a block draw assembles at once (bounds the
+#: temporary to 8 B × this × stored positions).
+_ROW_GROUP = 16
+
 
 class FlatWorldBlock:
     """A contiguous block of worlds stored as flat contiguous int arrays.
@@ -190,12 +197,27 @@ class WorldSampler:
     *identical* coin flip in every world across graph versions, which is
     what lets snapshot reconciliation (:mod:`repro.diffusion.reconcile`)
     prove most worlds unchanged without re-simulating them.
+
+    The draws of every layer after the base one are generated once, for all
+    ``num_worlds`` worlds, into a :class:`LayerDraws` store, so drawing a
+    block costs one base-layer generator however many event batches came
+    before.  ``num_worlds`` sizes the store (``None`` sizes it to the worlds
+    asked for so far).  The store is a per-process cache: it is not pickled,
+    and an unpickled sampler refills it on first use.
     """
 
-    __slots__ = ("compiled", "bit_generator_class", "state", "store", "layers")
+    __slots__ = (
+        "compiled", "bit_generator_class", "state", "store", "layers",
+        "num_worlds", "_draws",
+    )
 
     def __init__(
-        self, compiled: CompiledGraph, seed: SeedLike = None, *, store=None
+        self,
+        compiled: CompiledGraph,
+        seed: SeedLike = None,
+        *,
+        store=None,
+        num_worlds: Optional[int] = None,
     ) -> None:
         generator = spawn_rng(seed)
         bit_generator = generator.bit_generator
@@ -206,6 +228,18 @@ class WorldSampler:
         self.layers: Tuple[Tuple[object, int], ...] = (
             (self.state, int(compiled.num_draws)),
         )
+        self.num_worlds = num_worlds
+        self._draws: Optional[LayerDraws] = None
+
+    def __getstate__(self):
+        return {
+            name: getattr(self, name) for name in self.__slots__ if name != "_draws"
+        }
+
+    def __setstate__(self, state) -> None:
+        for name, value in state.items():
+            setattr(self, name, value)
+        self._draws = None
 
     # ------------------------------------------------------------------
     # layered stream plumbing
@@ -262,43 +296,87 @@ class WorldSampler:
         attached (the world universe changed, so the block fingerprint must
         change with it — the engine wires a fresh store itself).
         """
-        total = sum(width for _, width in self.layers) + int(num_new_draws)
+        # The layers always cover exactly the sampler's graph's positions.
+        total = self.compiled.num_draws + int(num_new_draws)
         if total != compiled.num_draws:
             raise EstimationError(
                 f"rekey width mismatch: layers cover {total} draw positions, "
                 f"evolved graph needs {compiled.num_draws}"
             )
-        clone = object.__new__(WorldSampler)
-        clone.compiled = compiled
-        clone.bit_generator_class = self.bit_generator_class
-        clone.state = self.state
-        clone.store = None
-        clone.layers = self.layers
+        clone = self._clone(compiled, self.num_worlds)
         if num_new_draws:
             clone.layers = self.layers + (
                 (self._layer_state(len(self.layers)), int(num_new_draws)),
             )
         return clone
 
-    def with_compiled(self, compiled: CompiledGraph) -> "WorldSampler":
+    def with_compiled(
+        self, compiled: CompiledGraph, num_worlds: Optional[int] = None
+    ) -> "WorldSampler":
         """A store-less clone drawing the same worlds on ``compiled``.
 
         ``compiled`` must describe the same draw universe (same
         ``num_draws``); typically it is the shared-memory twin of this
-        sampler's graph, or vice versa.
+        sampler's graph, or vice versa.  ``num_worlds`` overrides the
+        clone's layer-draw sizing.
         """
         if compiled.num_draws != self.compiled.num_draws:
             raise EstimationError(
                 f"sampler covers {self.compiled.num_draws} draw positions, "
                 f"graph needs {compiled.num_draws}"
             )
+        return self._clone(
+            compiled, self.num_worlds if num_worlds is None else num_worlds
+        )
+
+    def _clone(self, compiled: CompiledGraph, num_worlds: Optional[int]) -> "WorldSampler":
+        """Same stream and layers on ``compiled``, no block store attached.
+
+        The clone shares the layer-draw store; :meth:`_layer_draws` never
+        lets it read or overwrite columns of layers it does not have.
+        """
         clone = object.__new__(WorldSampler)
         clone.compiled = compiled
         clone.bit_generator_class = self.bit_generator_class
         clone.state = self.state
         clone.store = None
         clone.layers = self.layers
+        clone.num_worlds = num_worlds
+        clone._draws = self._draws
         return clone
+
+    def _layer_draws(self, num_worlds: int) -> "LayerDraws":
+        """The store of every non-base layer's draws, for ``num_worlds`` worlds.
+
+        Layers missing from the store are generated and appended: in place
+        when the store holds exactly a prefix of this sampler's layers,
+        otherwise into a fork that keeps only the shared prefix (a sibling
+        rekey appended different layers).  Layer ``k``'s draws for world
+        ``w`` are its stream's doubles ``w × width_k .. (w + 1) × width_k - 1``,
+        so generating all worlds in one sequential request is bit-identical
+        to advancing a generator per world.
+        """
+        later = self.layers[1:]
+        draws = self._draws
+        if draws is None or draws.num_worlds < num_worlds:
+            draws = LayerDraws(max(num_worlds, self.num_worlds or 0))
+        else:
+            held = len(draws.layers)
+            # Clones share layer objects, so these compares hit identity.
+            if draws.layers[: len(later)] == later:
+                return draws
+            if later[:held] != draws.layers:
+                shared = 0
+                while draws.layers[shared] == later[shared]:
+                    shared += 1
+                draws = draws.fork(shared)
+        rows = draws.num_worlds
+        for layer in later[len(draws.layers):]:
+            state, width = layer
+            generator = self._layer_generator(state, width, 0)
+            draws.append(layer, generator.random(rows * width).reshape(rows, width))
+        self._draws = draws
+        return draws
 
     def generator_at(self, world_index: int) -> np.random.Generator:
         """A generator at the first *base-layer* coin flip of ``world_index``."""
@@ -310,32 +388,36 @@ class WorldSampler:
 
         Returns a ``(num_worlds, len(positions))`` float64 array:
         ``out[w, i]`` is world ``w``'s draw at flat position ``positions[i]``.
-        This is the dirty-world probe of snapshot reconciliation — layers
-        containing no queried position are skipped entirely, and within a
-        queried layer only the prefix up to its last queried position is
-        generated per world (the remainder advances without generation).
+        This is the dirty-world probe of snapshot reconciliation.  Positions
+        of later layers are read from the layer-draw store; for base-layer
+        positions only the prefix up to the last queried one is generated per
+        world (the remainder advances without generation).
         """
         positions = np.asarray(positions, dtype=np.int64)
-        out = np.empty((int(num_worlds), positions.shape[0]), dtype=np.float64)
-        low = 0
-        for state, width in self.layers:
-            high = low + width
-            selected = np.flatnonzero((positions >= low) & (positions < high))
-            if selected.size:
-                local = positions[selected] - low
-                need = int(local.max()) + 1
-                generator = self._layer_generator(state, width, 0)
-                advance = getattr(generator.bit_generator, "advance", None)
-                remainder = width - need
-                for world in range(int(num_worlds)):
-                    draws = generator.random(need)
-                    out[world, selected] = draws[local]
-                    if remainder:
-                        if advance is not None:
-                            advance(remainder)
-                        else:
-                            _discard_draws(generator, remainder)
-            low = high
+        num_worlds = int(num_worlds)
+        out = np.empty((num_worlds, positions.shape[0]), dtype=np.float64)
+        state, width = self.layers[0]
+        base = positions < width
+        selected = np.flatnonzero(base)
+        if selected.size:
+            local = positions[selected]
+            need = int(local.max()) + 1
+            generator = self._layer_generator(state, width, 0)
+            advance = getattr(generator.bit_generator, "advance", None)
+            remainder = width - need
+            for world in range(num_worlds):
+                draws = generator.random(need)
+                out[world, selected] = draws[local]
+                if remainder:
+                    if advance is not None:
+                        advance(remainder)
+                    else:
+                        _discard_draws(generator, remainder)
+        selected = np.flatnonzero(~base)
+        if selected.size:
+            out[:, selected] = self._layer_draws(num_worlds).columns(
+                positions[selected] - width, num_worlds
+            )
         return out
 
     def draw_block(self, start: int, count: int) -> FlatWorldBlock:
@@ -355,30 +437,27 @@ class WorldSampler:
     def draw_block_private(self, start: int, count: int) -> FlatWorldBlock:
         """Materialise a block into process-private arrays (the raw draw)."""
         compiled = self.compiled
-        layers = self.layers
         indptr = compiled.indptr
         indices = compiled.indices
         edge_pos = compiled.edge_pos
         probs = compiled.probs
-        generators = [
-            self._layer_generator(state, width, start) for state, width in layers
-        ]
-        single = len(layers) == 1
-        draws = (
-            None if single else np.empty(compiled.num_draws, dtype=np.float64)
-        )
+        state, width = self.layers[0]
+        generator = self._layer_generator(state, width, start)
+        draws = np.empty(compiled.num_draws, dtype=np.float64)
+        base_draws = draws[:width]
+        later = None
+        if len(self.layers) > 1:
+            later = self._layer_draws(start + count).rows(
+                start, count, compiled.num_draws - width
+            )
         target_parts: List[np.ndarray] = []
         offsets = np.empty((count, compiled.num_nodes + 1), dtype=np.int64)
         base = 0
         for slot in range(count):
-            if single:
-                # One flat stream in graph.edges() order — the historic draw.
-                draws = generators[0].random(layers[0][1])
-            else:
-                low = 0
-                for generator, (_, width) in zip(generators, layers):
-                    draws[low : low + width] = generator.random(width)
-                    low += width
+            # The base layer is one flat stream in graph.edges() order.
+            generator.random(out=base_draws)
+            if later is not None:
+                draws[width:] = next(later)
             live_slots = np.flatnonzero(draws[edge_pos] < probs)
             target_parts.append(indices[live_slots].astype(np.int32, copy=False))
             row = offsets[slot]
@@ -392,6 +471,81 @@ class WorldSampler:
             else np.empty(0, dtype=np.int32)
         )
         return FlatWorldBlock(targets, offsets, count)
+
+
+class LayerDraws:
+    """Every world's draws at the positions of a sampler's non-base layers.
+
+    Column ``j`` holds draw position ``base_width + j`` for worlds
+    ``0 .. num_worlds - 1``; ``layers`` lists the ``(state, width)`` stream
+    layers stored so far and ``width`` their total.  The columns live in
+    chunks of ``_DRAW_CHUNK`` positions: a new layer fills the last chunk in
+    place and appends fresh ones, so adding a layer never copies what is
+    already stored.  The store costs 8 B × ``num_worlds`` per draw position
+    ever added.
+    """
+
+    __slots__ = ("num_worlds", "layers", "width", "chunks")
+
+    def __init__(self, num_worlds: int) -> None:
+        self.num_worlds = int(num_worlds)
+        self.layers: Tuple[Tuple[object, int], ...] = ()
+        self.width = 0
+        self.chunks: List[np.ndarray] = []
+
+    def append(self, layer: Tuple[object, int], draws: np.ndarray) -> None:
+        """Store ``layer``'s ``(num_worlds, width)`` draws after the others."""
+        column = 0
+        width = draws.shape[1]
+        while column < width:
+            offset = self.width % _DRAW_CHUNK
+            if offset == 0:
+                self.chunks.append(
+                    np.empty((self.num_worlds, _DRAW_CHUNK), dtype=np.float64)
+                )
+            take = min(_DRAW_CHUNK - offset, width - column)
+            self.chunks[-1][:, offset : offset + take] = draws[:, column : column + take]
+            column += take
+            self.width += take
+        self.layers += (layer,)
+
+    def fork(self, layers: int) -> "LayerDraws":
+        """A store holding this one's first ``layers`` layers, free to grow.
+
+        Full chunks are shared (nothing writes them again); the partly
+        filled one is copied, so appends to either store stay private.
+        """
+        clone = LayerDraws(self.num_worlds)
+        clone.layers = self.layers[:layers]
+        clone.width = sum(width for _, width in clone.layers)
+        full, partial = divmod(clone.width, _DRAW_CHUNK)
+        clone.chunks = self.chunks[:full]
+        if partial:
+            clone.chunks.append(self.chunks[full].copy())
+        return clone
+
+    def rows(self, start: int, count: int, width: int) -> Iterator[np.ndarray]:
+        """Worlds ``start .. start+count-1`` at the first ``width`` columns.
+
+        Yields one row per world, assembled ``_ROW_GROUP`` worlds at a time.
+        """
+        chunks = self.chunks[: -(-width // _DRAW_CHUNK)]
+        for low in range(start, start + count, _ROW_GROUP):
+            high = min(low + _ROW_GROUP, start + count)
+            yield from np.concatenate(
+                [chunk[low:high] for chunk in chunks], axis=1
+            )[:, :width]
+
+    def columns(self, columns: np.ndarray, num_worlds: int) -> np.ndarray:
+        """The first ``num_worlds`` worlds at the given columns."""
+        out = np.empty((num_worlds, columns.shape[0]), dtype=np.float64)
+        chunk_ids = columns // _DRAW_CHUNK
+        for chunk_id in np.unique(chunk_ids).tolist():
+            selected = np.flatnonzero(chunk_ids == chunk_id)
+            out[:, selected] = self.chunks[chunk_id][
+                :num_worlds, columns[selected] % _DRAW_CHUNK
+            ]
+        return out
 
 
 def _discard_draws(generator: np.random.Generator, count: int) -> None:
@@ -616,9 +770,9 @@ class CompiledCascadeEngine:
         self.shard_size = shard_size
 
         if sampler is not None:
-            self.sampler = sampler.with_compiled(compiled)
+            self.sampler = sampler.with_compiled(compiled, self.num_worlds)
         else:
-            self.sampler = WorldSampler(compiled, seed)
+            self.sampler = WorldSampler(compiled, seed, num_worlds=self.num_worlds)
             if isinstance(seed, np.random.Generator):
                 # The monolithic engine used to consume the caller's generator
                 # directly; keep that stream contract so downstream draws from
@@ -775,68 +929,105 @@ class CompiledCascadeEngine:
         coupon increment can change this world's outcome, which is what the
         delta-evaluation engine (:mod:`repro.diffusion.delta`) keys on.
 
-        Runs on the native kernel when one is active (identical queues and
-        limited lists, only faster); callers with several worlds to
-        re-simulate should prefer :meth:`cascade_worlds_instrumented`, which
-        converts the seed/coupon buffers once for the whole batch.
+        Goes through :meth:`cascade_worlds_instrumented` with one world.
         """
-        if self._kernel is not None:
-            return self._kernel_world_instrumented(
-                world_index,
-                np.asarray(seed_indices, dtype=np.int32),
-                np.asarray(coupons, dtype=np.int64),
-            )
-        return self._interpreted_world_instrumented(
-            world_index, seed_indices, coupons
-        )
+        return self.cascade_worlds_instrumented(
+            (world_index,), seed_indices, coupons
+        )[0]
 
     def cascade_worlds_instrumented(
         self,
         world_indices: Iterable[int],
         seed_indices: List[int],
         coupons: Sequence[int],
-    ) -> Iterator[Tuple[List[int], List[int]]]:
+    ) -> List[Tuple[List[int], List[int]]]:
         """Instrumented cascades over several worlds of one deployment.
 
-        Yields ``(queue, limited)`` per world of ``world_indices``, exactly
-        as per-world :meth:`cascade_world_instrumented` calls would — this
-        is the batch entry point the delta engine's snapshot and splice
-        passes run on, so the kernel path pays the seed/coupon array
-        conversion once per pass instead of once per world.
+        Returns ``(queue, limited)`` per world of ``world_indices``, in the
+        given order, exactly as per-world
+        :meth:`cascade_world_instrumented` calls would.  This is the entry
+        point of the delta engine's snapshot, splice and reconcile passes.
+        On the native kernel the whole pass is one call — one per run of
+        consecutive worlds in the same block when sharded — writing every
+        world's queue and limited list into the engine's concatenated
+        buffers; the interpreted oracle loops over the worlds.
         """
         if self._kernel is None:
-            for world_index in world_indices:
-                yield self._interpreted_world_instrumented(
-                    world_index, seed_indices, coupons
-                )
-            return
+            return [
+                self._interpreted_world_instrumented(world_index, seed_indices, coupons)
+                for world_index in world_indices
+            ]
+        worlds = np.fromiter(world_indices, dtype=np.int64)
+        total = worlds.shape[0]
+        if not total:
+            return []
+        if worlds.min() < 0 or worlds.max() >= self.num_worlds:
+            raise IndexError(
+                f"world indices must lie in [0, {self.num_worlds})"
+            )
         seeds_arr = np.asarray(seed_indices, dtype=np.int32)
         coupons_arr = np.asarray(coupons, dtype=np.int64)
-        for world_index in world_indices:
-            yield self._kernel_world_instrumented(
-                world_index, seeds_arr, coupons_arr
-            )
+        ends = np.empty(2 * total, dtype=np.int64)
+        stamp = self._kernel_stamp
+        # Reserve the stamp range up front, mirroring _run_serial_kernel.
+        self._kernel_stamp = stamp + total
+        # One kernel call per run of consecutive worlds in the same block (a
+        # resident engine's shard_size is num_worlds: one run).
+        starts = worlds - worlds % self.shard_size
+        cuts = (np.flatnonzero(starts[1:] != starts[:-1]) + 1).tolist()
+        bounds = [0] + cuts + [total]
+        kernel = self._kernel
+        queue_length = limited_length = 0
+        for low, high in zip(bounds[:-1], bounds[1:]):
+            start = int(starts[low])
+            block = self._resident_block
+            if block is None:
+                block = self._block(start)
+            slots = worlds[low:high] - start
+            done = low
+            while done < high:
+                completed = kernel.cascade_world_instrumented(
+                    block.targets, block.offsets, slots[done - low:],
+                    seeds_arr, coupons_arr, self._kernel_visited, stamp + done,
+                    self._kernel_queue, self._kernel_limited,
+                    queue_length, limited_length, ends[2 * done:],
+                )
+                if completed:
+                    done += completed
+                    queue_length, limited_length = ends[2 * done - 2 : 2 * done].tolist()
+                if done < high:
+                    self._grow_instrumented_buffers(queue_length, done, total)
+        queue_flat = self._kernel_queue[:queue_length].tolist()
+        limited_flat = self._kernel_limited[:limited_length].tolist()
+        offsets = ends.tolist()
+        results = []
+        queue_low = limited_low = 0
+        for queue_high, limited_high in zip(offsets[0::2], offsets[1::2]):
+            results.append((
+                queue_flat[queue_low:queue_high],
+                limited_flat[limited_low:limited_high],
+            ))
+            queue_low = queue_high
+            limited_low = limited_high
+        return results
 
-    def _kernel_world_instrumented(
-        self, world_index: int, seeds_arr: np.ndarray, coupons_arr: np.ndarray
-    ) -> Tuple[List[int], List[int]]:
-        """One world's instrumented cascade on the native kernel."""
-        block, slot = self._world_slot(world_index)
-        self._kernel_stamp += 1
-        queue_length, limited_length = self._kernel.cascade_world_instrumented(
-            block.targets,
-            block.offsets[slot],
-            seeds_arr,
-            coupons_arr,
-            self._kernel_visited,
-            self._kernel_stamp,
-            self._kernel_queue,
-            self._kernel_limited,
-        )
-        return (
-            self._kernel_queue[:queue_length].tolist(),
-            self._kernel_limited[:limited_length].tolist(),
-        )
+    def _grow_instrumented_buffers(self, used: int, done: int, total: int) -> None:
+        """Enlarge the concatenated queue/limited buffers mid-pass.
+
+        ``used`` queue entries (and at most as many limited ones) are kept.
+        The new capacity doubles the old one and covers the remaining worlds
+        at the pass's mean queue length so far plus one worst-case world, so
+        a pass needs only a few extra crossings while the buffers warm up.
+        """
+        num_nodes = self.compiled.num_nodes
+        estimate = used + (used // max(done, 1)) * (total - done) + num_nodes
+        capacity = max(2 * self._kernel_queue.shape[0], estimate)
+        queue = np.empty(capacity, dtype=np.int32)
+        queue[:used] = self._kernel_queue[:used]
+        self._kernel_queue = queue
+        limited = np.empty(capacity, dtype=np.int32)
+        limited[:used] = self._kernel_limited[:used]
+        self._kernel_limited = limited
 
     def _interpreted_world_instrumented(
         self, world_index: int, seed_indices: List[int], coupons: Sequence[int]
@@ -1019,17 +1210,26 @@ class CompiledCascadeEngine:
             )
         return self._executor
 
-    def apply_events(self, application, dirty_mask: Optional[np.ndarray] = None) -> int:
+    def apply_events(
+        self,
+        application,
+        sampler: WorldSampler,
+        dirty_mask: Optional[np.ndarray] = None,
+    ) -> int:
         """Evolve the engine in place onto an event batch's new graph.
 
         ``application`` is the :class:`~repro.graph.events.EventApplication`
-        of the batch; the engine switches to its evolved snapshot (re-shared
-        into a fresh segment when shared-memory transport is on), rekeys the
-        sampler with one stream layer for the new edges (so every surviving
-        edge keeps its per-world coin flips), and rebuilds the derived state
-        that depends on the graph: the shared block store (new fingerprint),
-        the block cache, the worker executor (workers hold old-graph
-        samplers; it is lazily rebuilt), and the cascade scratch buffers.
+        of the batch and ``sampler`` this engine's sampler rekeyed onto it
+        (``engine.sampler.rekey(application.compiled,
+        application.num_new_draws)``: one stream layer for the new edges, so
+        every surviving edge keeps its per-world coin flips) — typically the
+        one the caller probed the dirty mask on, so the new layer's draws are
+        generated once.  The engine switches to the evolved snapshot
+        (re-shared into a fresh segment when shared-memory transport is on)
+        and that sampler, and rebuilds the derived state that depends on the
+        graph: the shared block store (new fingerprint), the block cache, the
+        worker executor (workers hold old-graph samplers; it is lazily
+        rebuilt), and the cascade scratch buffers.
 
         When ``dirty_mask`` (per-world booleans) is given and the batch kept
         every surviving edge's hand-off rank and the node set (no reweights,
@@ -1053,7 +1253,7 @@ class CompiledCascadeEngine:
             else:  # pragma: no cover - platform lost shm mid-flight
                 self.shared_memory = False
         self.compiled = compiled
-        self.sampler = self.sampler.rekey(compiled, application.num_new_draws)
+        self.sampler = sampler.with_compiled(compiled, self.num_worlds)
 
         # Workers hold samplers keyed to the old graph; the executor is
         # rebuilt (and the new sampler re-registered) on the next parallel
@@ -1128,8 +1328,9 @@ class CompiledCascadeEngine:
         if self._kernel is not None:
             self._kernel_visited = np.zeros(num_nodes, dtype=np.int64)
             self._kernel_stamp = 0
-            self._kernel_queue = np.empty(num_nodes, dtype=np.int32)
-            self._kernel_limited = np.empty(num_nodes, dtype=np.int32)
+            if self._kernel_queue.shape[0] < num_nodes:
+                self._kernel_queue = np.empty(num_nodes, dtype=np.int32)
+                self._kernel_limited = np.empty(num_nodes, dtype=np.int32)
             self._kernel_coupons = np.zeros(num_nodes, dtype=np.int64)
         self._visited = [0] * num_nodes
         self._stamp = 0

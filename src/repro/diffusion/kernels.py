@@ -28,15 +28,19 @@ All kernels share one calling convention (flat int arrays only, no Python
 objects in the hot path):
 
 * ``targets`` — int32, the block's concatenated live-edge targets;
-* ``offsets`` — int64, per-world rows of ``num_nodes + 1`` *absolute*
-  indices into ``targets`` (a 2-D array for block kernels, one row for the
-  single-world instrumented kernel);
+* ``offsets`` — int64, the block's 2-D per-world rows of ``num_nodes + 1``
+  *absolute* indices into ``targets``;
 * ``seeds`` — int32 deduplicated seed indices in canonical order;
 * ``coupons`` — int64 dense per-node coupon vector;
 * ``visited`` — int64 stamp-versioned scratch (caller owns the stamp);
-* ``queue`` / ``limited`` — int32 preallocated FIFO / limited-flag buffers
-  of ``num_nodes`` entries;
-* ``counts`` — int64 activation-count accumulator (block kernel only).
+* ``queue`` / ``limited`` — int32 preallocated buffers: the block
+  kernel's FIFO scratch (``num_nodes`` entries), or the instrumented
+  kernel's concatenated per-world queues / coupon-limited lists;
+* ``counts`` — int64 activation-count accumulator (block kernel only);
+* ``worlds`` / ``ends`` — int64 block rows to cascade and, per cascaded
+  world, the end offsets of its queue and limited list (instrumented
+  kernel only).  One call cascades a whole list of worlds, so an
+  instrumented pass crosses into native code once, not once per world.
 """
 
 from __future__ import annotations
@@ -71,8 +75,9 @@ _C_SOURCE = r"""
 
 /* Both functions are line-for-line translations of the interpreted
  * cascade loops in repro/diffusion/engine.py (cascade_block and
- * CompiledCascadeEngine.cascade_world_instrumented).  Any semantic change
- * there must be mirrored here — the parity suite fails otherwise. */
+ * CompiledCascadeEngine._interpreted_world_instrumented, the latter once
+ * per listed world).  Any semantic change there must be mirrored here —
+ * the parity suite fails otherwise. */
 
 int64_t repro_cascade_block(
     const int32_t *targets,
@@ -117,49 +122,63 @@ int64_t repro_cascade_block(
     return stamp;
 }
 
-void repro_cascade_world_instrumented(
+int64_t repro_cascade_worlds_instrumented(
     const int32_t *targets,
-    const int64_t *off,          /* one world's num_nodes + 1 row, absolute */
+    const int64_t *offsets,      /* block rows x (num_nodes + 1), absolute */
+    int64_t num_nodes,
+    const int64_t *worlds,       /* block rows to cascade, in this order */
+    int64_t num_worlds,
     const int32_t *seeds,
     int64_t num_seeds,
     const int64_t *coupons,
     int64_t *visited,
-    int64_t stamp,
-    int32_t *queue,
-    int32_t *limited,
-    int64_t *out_lens)           /* [queue length, limited length] */
+    int64_t stamp,               /* world i is stamped stamp + i + 1 */
+    int32_t *queue,              /* concatenated queues */
+    int32_t *limited,            /* concatenated limited lists */
+    int64_t capacity,            /* entries in queue and in limited */
+    int64_t qlen,                /* where the first queue is written */
+    int64_t llen,                /* where the first limited list is written */
+    int64_t *ends)               /* per world: [queue end, limited end] */
 {
-    int64_t qlen = 0;
-    int64_t llen = 0;
-    for (int64_t s = 0; s < num_seeds; ++s) {
-        const int32_t seed = seeds[s];
-        visited[seed] = stamp;
-        queue[qlen++] = seed;
-    }
-    int64_t head = 0;
-    while (head < qlen) {
-        const int32_t user = queue[head++];
-        int64_t remaining = coupons[user];
-        const int64_t low = off[user];
-        const int64_t high = off[user + 1];
-        if (remaining <= 0) {
-            if (low < high) limited[llen++] = user;
-            continue;
+    const int64_t stride = num_nodes + 1;
+    for (int64_t w = 0; w < num_worlds; ++w) {
+        /* One world appends at most num_nodes entries to either buffer;
+         * stop early and let the caller grow them. */
+        if (capacity - qlen < num_nodes) return w;
+        stamp += 1;
+        const int64_t *off = offsets + worlds[w] * stride;
+        const int64_t first = qlen;
+        for (int64_t s = 0; s < num_seeds; ++s) {
+            const int32_t seed = seeds[s];
+            visited[seed] = stamp;
+            queue[qlen++] = seed;
         }
-        if (low == high) continue;
-        for (int64_t pos = low; pos < high; ++pos) {
-            const int32_t neighbor = targets[pos];
-            if (visited[neighbor] == stamp) continue;
-            visited[neighbor] = stamp;
-            queue[qlen++] = neighbor;
-            if (--remaining <= 0) {
-                if (pos < high - 1) limited[llen++] = user;
-                break;
+        int64_t head = first;
+        while (head < qlen) {
+            const int32_t user = queue[head++];
+            int64_t remaining = coupons[user];
+            const int64_t low = off[user];
+            const int64_t high = off[user + 1];
+            if (remaining <= 0) {
+                if (low < high) limited[llen++] = user;
+                continue;
+            }
+            if (low == high) continue;
+            for (int64_t pos = low; pos < high; ++pos) {
+                const int32_t neighbor = targets[pos];
+                if (visited[neighbor] == stamp) continue;
+                visited[neighbor] = stamp;
+                queue[qlen++] = neighbor;
+                if (--remaining <= 0) {
+                    if (pos < high - 1) limited[llen++] = user;
+                    break;
+                }
             }
         }
+        ends[2 * w] = qlen;
+        ends[2 * w + 1] = llen;
     }
-    out_lens[0] = qlen;
-    out_lens[1] = llen;
+    return num_worlds;
 }
 """
 
@@ -276,25 +295,43 @@ class CascadeKernel:
     def cascade_world_instrumented(
         self,
         targets: np.ndarray,
-        offsets_row: np.ndarray,
+        offsets: np.ndarray,
+        worlds: np.ndarray,
         seeds: np.ndarray,
         coupons: np.ndarray,
         visited: np.ndarray,
         stamp: int,
         queue: np.ndarray,
         limited: np.ndarray,
-    ) -> Tuple[int, int]:
-        """One world's instrumented cascade into ``queue`` / ``limited``.
+        queue_start: int,
+        limited_start: int,
+        ends: np.ndarray,
+    ) -> int:
+        """Instrumented cascades of the block rows ``worlds``, in order.
 
-        Returns ``(queue_length, limited_length)``; the filled prefixes hold
-        exactly what the interpreted
+        World ``i`` is stamped ``stamp + i + 1``; its activation queue and
+        coupon-limited list are appended to ``queue`` / ``limited`` from
+        ``queue_start`` / ``limited_start`` on, and ``ends[2 i]`` /
+        ``ends[2 i + 1]`` receive their end offsets.  The slices hold exactly
+        what the interpreted
         :meth:`~repro.diffusion.engine.CompiledCascadeEngine.cascade_world_instrumented`
-        would have produced, in the same order.
+        would have produced, in the same order.  Returns how many worlds were
+        cascaded: fewer than ``len(worlds)`` when the buffers could not hold
+        one more world's worst case (``num_nodes`` entries) — the caller
+        grows them and continues from there.
         """
-        qlen, llen = self._instrumented_fn(
-            targets, offsets_row, seeds, coupons, visited, stamp, queue, limited
+        if worlds.shape[0] and (
+            worlds.min() < 0 or worlds.max() >= offsets.shape[0]
+        ):
+            raise IndexError(f"world rows must lie in [0, {offsets.shape[0]})")
+        if ends.shape[0] < 2 * worlds.shape[0]:
+            raise ValueError("ends needs two entries per world")
+        return int(
+            self._instrumented_fn(
+                targets, offsets, worlds, seeds, coupons, visited, stamp,
+                queue, limited, queue_start, limited_start, ends,
+            )
         )
-        return int(qlen), int(llen)
 
     # -- warm-up -------------------------------------------------------
 
@@ -321,7 +358,8 @@ class CascadeKernel:
             targets, offsets, seeds, coupons, visited, 0, queue, counts
         )
         self.cascade_world_instrumented(
-            targets, offsets[0], seeds, coupons, visited, stamp + 1, queue, limited
+            targets, offsets, np.zeros(1, dtype=np.int64), seeds, coupons,
+            visited, stamp, queue, limited, 0, 0, np.zeros(2, dtype=np.int64),
         )
         elapsed = time.perf_counter() - began
         self._warmed = True
@@ -343,13 +381,14 @@ def _make_cc_kernel() -> Optional[CascadeKernel]:
         i32, i64, c_i64, c_i64, i32, c_i64, i64, i64, c_i64, i32, i64,
     ]
     library.repro_cascade_block.restype = c_i64
-    library.repro_cascade_world_instrumented.argtypes = [
-        i32, i64, i32, c_i64, i64, i64, c_i64, i32, i32, i64,
+    library.repro_cascade_worlds_instrumented.argtypes = [
+        i32, i64, c_i64, i64, c_i64, i32, c_i64, i64, i64, c_i64,
+        i32, i32, c_i64, c_i64, c_i64, i64,
     ]
-    library.repro_cascade_world_instrumented.restype = None
+    library.repro_cascade_worlds_instrumented.restype = c_i64
 
     block_raw = library.repro_cascade_block
-    instrumented_raw = library.repro_cascade_world_instrumented
+    instrumented_raw = library.repro_cascade_worlds_instrumented
 
     def block_fn(targets, offsets, seeds, coupons, visited, stamp, queue, counts):
         return block_raw(
@@ -358,14 +397,15 @@ def _make_cc_kernel() -> Optional[CascadeKernel]:
         )
 
     def instrumented_fn(
-        targets, offsets_row, seeds, coupons, visited, stamp, queue, limited
+        targets, offsets, worlds, seeds, coupons, visited, stamp,
+        queue, limited, queue_start, limited_start, ends,
     ):
-        out_lens = np.zeros(2, dtype=np.int64)
-        instrumented_raw(
-            targets, offsets_row, seeds, seeds.shape[0],
-            coupons, visited, stamp, queue, limited, out_lens,
+        return instrumented_raw(
+            targets, offsets, offsets.shape[1] - 1, worlds, worlds.shape[0],
+            seeds, seeds.shape[0], coupons, visited, stamp,
+            queue, limited, min(queue.shape[0], limited.shape[0]),
+            queue_start, limited_start, ends,
         )
-        return out_lens[0], out_lens[1]
 
     kernel = CascadeKernel("cc", block_fn, instrumented_fn)
     kernel.compile_seconds = compile_seconds

@@ -585,14 +585,13 @@ class MonteCarloEstimator(BenefitEstimator):
                 "graph-event reconciliation requires the compiled backend"
             )
         engine = self._engine
-        # Probe dirtiness on a preview of the evolved sampler: layer states
-        # are derived deterministically from the frozen base state, so the
-        # preview's draws are exactly the post-evolution engine's draws.
-        preview = engine.sampler.rekey(
+        # Probe dirtiness on the evolved sampler before the engine adopts it:
+        # chaining clean shared blocks needs the mask.
+        evolved = engine.sampler.rekey(
             application.compiled, application.num_new_draws
         )
-        mask = dirty_world_mask(preview, application, self.num_samples)
-        chained = engine.apply_events(application, dirty_mask=mask)
+        mask = dirty_world_mask(evolved, application, self.num_samples)
+        chained = engine.apply_events(application, evolved, dirty_mask=mask)
         self.clear_cache()
 
         delta = self._delta

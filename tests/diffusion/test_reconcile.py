@@ -135,6 +135,30 @@ def test_reconcile_bit_identical_to_cold_snapshot(kind):
         estimator.close()
 
 
+def test_reconcile_after_a_seed_splice_keeps_the_new_seed():
+    """A pivot accepted through the seed splice is part of the base that
+    the next event batch reconciles; it must not fall back to a snapshot of
+    the seed set before the splice."""
+    graph = build_graph()
+    estimator = _warm_estimator(graph)
+    seeds = SEEDS + [5]
+    try:
+        estimator.snapshot_base(SEEDS, ALLOC)
+        estimator.advance_base_new_seed(5, seeds, ALLOC)
+        assert estimator.delta_spliced_seed_advances == 1
+        outcome = estimator.ingest_events(small_batch(graph))
+        assert outcome.reconciled
+
+        cold_engine, cold = _cold_delta(estimator, seeds, ALLOC)
+        try:
+            _assert_snapshot_state_identical(estimator._delta, cold)
+            assert outcome.base_benefit == cold.base_benefit
+        finally:
+            cold_engine.close()
+    finally:
+        estimator.close()
+
+
 def test_only_dirty_worlds_resimulated_and_counted():
     graph = build_graph()
     estimator = _warm_estimator(graph)
