@@ -72,15 +72,11 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument(
             "--estimator", default=DEFAULT_ESTIMATOR_METHOD,
             choices=ESTIMATOR_METHODS,
-            help="benefit-estimator backend (mc-compiled is the fast CSR engine; "
-                 "mc is the reference dict path; rr ignores coupon allocations "
-                 "and is only meaningful for unlimited-coupon baselines)",
-        )
-        sub.add_argument(
-            "--no-incremental", action="store_true",
-            help="force S3CA's eager full-resimulation greedy loop instead of "
-                 "the delta-evaluation engine + CELF lazy queue (same result, "
-                 "slower; mainly for cross-checking)",
+            help="benefit estimator (mc-compiled: Monte-Carlo on the CSR "
+                 "engine, with delta evaluation for S3CA's greedy; exact: world "
+                 "enumeration, tiny graphs only; rr: reverse-reachable sets, "
+                 "ignores coupon allocations and is only meaningful for "
+                 "unlimited-coupon baselines)",
         )
         sub.add_argument(
             "--shard-size", type=_positive_int, default=None,
@@ -235,7 +231,6 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         candidate_limit=args.candidate_limit,
         max_pivot_candidates=args.pivot_limit,
         estimator_method=getattr(args, "estimator", DEFAULT_ESTIMATOR_METHOD),
-        incremental=not getattr(args, "no_incremental", False),
         shard_size=getattr(args, "shard_size", None),
         workers=getattr(args, "workers", None),
         pipeline_depth=getattr(args, "pipeline_depth", None),
@@ -270,7 +265,6 @@ def _s3ca_spec(args: argparse.Namespace) -> AlgorithmSpec:
             estimator=estimator,
             candidate_limit=args.candidate_limit,
             max_pivot_candidates=args.pivot_limit,
-            incremental=not getattr(args, "no_incremental", False),
         ),
     )
 
@@ -296,7 +290,6 @@ def cmd_solve(args: argparse.Namespace) -> str:
         candidate_limit=config.candidate_limit,
         max_pivot_candidates=config.max_pivot_candidates,
         spend_full_budget=getattr(args, "spend_full_budget", False),
-        incremental=config.incremental,
         shard_size=config.shard_size,
         workers=config.workers,
         pipeline_depth=config.pipeline_depth,
@@ -381,8 +374,8 @@ def cmd_events(args: argparse.Namespace) -> str:
     config = _config_from_args(args)
     if config.estimator_method != "mc-compiled":
         raise ReproError(
-            "the events command needs the compiled estimator "
-            "(--estimator mc-compiled); reconciliation has no dict-backend form"
+            "the events command needs --estimator mc-compiled; the exact "
+            "and rr estimators cannot reconcile graph events"
         )
     try:
         with open(args.events_file, "r", encoding="utf-8") as handle:
@@ -427,7 +420,6 @@ def cmd_events(args: argparse.Namespace) -> str:
         "mc-compiled",
         num_samples=config.num_samples,
         seed=config.seed,
-        incremental=True,
         shard_size=config.shard_size,
         workers=config.workers,
         pipeline_depth=config.pipeline_depth,
@@ -440,7 +432,6 @@ def cmd_events(args: argparse.Namespace) -> str:
             estimator=estimator,
             candidate_limit=config.candidate_limit,
             max_pivot_candidates=config.max_pivot_candidates,
-            incremental=config.incremental,
         )
         result = algorithm.solve()
         seeds = set(result.seeds)

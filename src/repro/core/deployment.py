@@ -13,10 +13,10 @@ phases of S3CA explore candidate investments.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Hashable, Iterable, Mapping, Optional, Set, Tuple
+from typing import Dict, Hashable, Iterable, Mapping, Optional, Set, Tuple
 
 from repro.core.allocation import SCAllocation, expected_sc_cost, node_expected_sc_cost
-from repro.diffusion.estimator import BenefitEstimator
+from repro.diffusion.estimator import BenefitEstimator, DeploymentKey
 from repro.graph.social_graph import SocialGraph
 
 NodeId = Hashable
@@ -55,7 +55,7 @@ class Deployment:
         else:
             self.allocation = SCAllocation(allocation or {})
         self._sc_cost_cache = sc_cost_cache if sc_cost_cache is not None else {}
-        self._key_cache: Optional[Tuple[int, Tuple[FrozenSet, Tuple]]] = None
+        self._key_cache: Optional[Tuple[int, DeploymentKey]] = None
 
     # ------------------------------------------------------------------
     # structure
@@ -80,12 +80,12 @@ class Deployment:
         """True when the deployment selects nothing."""
         return not self.seeds and len(self.allocation) == 0
 
-    def key(self) -> Tuple[FrozenSet, Tuple]:
-        """Hashable identity used for memoisation.
+    def key(self) -> DeploymentKey:
+        """Hashable identity used for memoisation: the estimators' memo key.
 
         Memoised on the instance: deployments are effectively immutable once
-        the greedy loops start deriving variants, so the frozenset/sort is
-        paid once per deployment instead of once per cache lookup.  The memo
+        the greedy loops start deriving variants, so the key is built once
+        per deployment instead of once per cache lookup.  The memo
         is invalidated when the coupon allocation mutates (every allocation
         edit funnels through :meth:`SCAllocation.set`); direct mutation of
         ``self.seeds`` after the first ``key()`` call is not supported.
@@ -94,10 +94,7 @@ class Deployment:
         cached = self._key_cache
         if cached is not None and cached[0] == version:
             return cached[1]
-        key = (
-            frozenset(self.seeds),
-            tuple(sorted(self.allocation.items())),
-        )
+        key = BenefitEstimator._key(self.seeds, self.allocation)
         self._key_cache = (version, key)
         return key
 

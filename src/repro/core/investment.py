@@ -29,7 +29,8 @@ Faithfulness notes
 
 Incremental mode (the CELF lazy queue)
 --------------------------------------
-With ``incremental=True`` (default whenever the estimator supports it) the
+Whenever the estimator supports delta evaluation (its
+``supports_incremental``; the default Monte-Carlo estimator does) the
 coupon-candidate scoring runs on a CELF-style lazy priority queue backed by
 the delta-evaluation engine:
 
@@ -161,11 +162,11 @@ class InvestmentDeployment:
         The S3CRM instance and the shared expected-benefit estimator.
     candidate_limit / max_pivot_candidates / activation_threshold:
         Work bounds, as before.
-    incremental:
-        Use the delta-evaluation engine plus the CELF lazy queue (``None`` =
-        follow the estimator's capability; forced ``True`` on an estimator
-        without delta support silently degrades to eager).  The selected
-        deployment is bit-identical either way.
+
+    The estimator decides the evaluation path: the delta-evaluation engine
+    plus the CELF lazy queue when it ``supports_incremental``, the eager loop
+    otherwise (:attr:`incremental` reports which).  The selected deployment is
+    bit-identical either way.
     """
 
     def __init__(
@@ -176,12 +177,11 @@ class InvestmentDeployment:
         candidate_limit: Optional[int] = None,
         max_pivot_candidates: Optional[int] = None,
         activation_threshold: float = 0.0,
-        incremental: Optional[bool] = None,
     ) -> None:
         self.scenario = scenario
         self.graph = scenario.graph
         self.estimator = estimator
-        self.marginal = MarginalRedemption(estimator, incremental=incremental)
+        self.marginal = MarginalRedemption(estimator)
         self.incremental = self.marginal.incremental
         self.candidate_limit = candidate_limit
         self.max_pivot_candidates = max_pivot_candidates

@@ -25,13 +25,15 @@ which is what lets the CELF lazy queue in
 
 Incremental evaluation
 ----------------------
-When the estimator exposes the delta-evaluation API
-(:class:`~repro.diffusion.monte_carlo.MonteCarloEstimator` on the compiled
-backend with ``incremental=True``), the benefit side is answered by the
+The estimator alone decides the evaluation path: when its
+``supports_incremental`` is true (the default
+:class:`~repro.diffusion.monte_carlo.MonteCarloEstimator`), the benefit side
+is answered by the
 :class:`~repro.diffusion.delta.DeltaCascadeEngine`: the base deployment is
 snapshotted once (:meth:`MarginalRedemption.set_base`) and each candidate
 re-simulates only the worlds its single-investment change can affect, with
-bit-identical results to a full pass.  Callers can hand a previous
+bit-identical results to a full pass; otherwise every candidate is priced by
+a full evaluation.  Callers can hand a previous
 evaluation's :class:`~repro.diffusion.delta.DeltaOutcome` back through
 ``reuse`` to skip even the re-simulation when the invalidation rule proves it
 still valid.
@@ -94,20 +96,13 @@ class MarginalRedemption:
     Parameters
     ----------
     estimator:
-        The expected-benefit estimator.
-    incremental:
-        Force the incremental (delta) path on or off; ``None`` (default)
-        follows the estimator's capability.
+        The expected-benefit estimator.  Its ``supports_incremental`` decides
+        whether the delta path is taken (:attr:`incremental`).
     """
 
-    def __init__(
-        self, estimator: BenefitEstimator, *, incremental: Optional[bool] = None
-    ) -> None:
+    def __init__(self, estimator: BenefitEstimator) -> None:
         self.estimator = estimator
-        supports = bool(getattr(estimator, "supports_incremental", False))
-        self.incremental = supports if incremental is None else (
-            bool(incremental) and supports
-        )
+        self.incremental = bool(getattr(estimator, "supports_incremental", False))
 
     # ------------------------------------------------------------------
 

@@ -98,7 +98,10 @@ class S3CA:
         through :func:`repro.diffusion.factory.make_estimator`.
     estimator_method / num_samples / seed:
         Factory method name and parameters of the default estimator (the
-        compiled Monte-Carlo backend with ``num_samples`` worlds).
+        compiled Monte-Carlo estimator with ``num_samples`` worlds).  The
+        estimator decides whether the ID phase runs on the delta-evaluation
+        engine and the CELF lazy queue (see :mod:`repro.core.investment`);
+        the selected deployment is bit-identical either way.
     candidate_limit:
         Cap on the number of coupon candidates scored per ID iteration
         (``None`` = all influenced users, the pseudo-code's behaviour).
@@ -116,12 +119,6 @@ class S3CA:
         as much of the budget as profitable investments allowed — trading some
         redemption rate for total benefit (the regime the paper's large-scale
         runs operate in).
-    incremental:
-        Run the ID phase on the delta-evaluation engine and the CELF lazy
-        queue (see :mod:`repro.core.investment`).  ``None`` (default) turns
-        it on whenever the estimator supports it; the selected deployment is
-        bit-identical to the eager full-resimulation path either way, only
-        faster.  Pass ``False`` to force the eager path.
     shard_size / workers:
         Forwarded to the default estimator: sharded world sampling (bounded
         memory) and the multiprocess shard executor.  Both preserve
@@ -170,7 +167,6 @@ class S3CA:
         enable_gpi: bool = True,
         enable_scm: bool = True,
         spend_full_budget: bool = False,
-        incremental: Optional[bool] = None,
         shard_size: Optional[int] = None,
         workers: Optional[int] = None,
         pool=None,
@@ -200,7 +196,6 @@ class S3CA:
         self.enable_gpi = enable_gpi
         self.enable_scm = enable_scm
         self.spend_full_budget = spend_full_budget
-        self.incremental = incremental
 
     # ------------------------------------------------------------------
 
@@ -214,7 +209,6 @@ class S3CA:
                 self.estimator,
                 candidate_limit=self.candidate_limit,
                 max_pivot_candidates=self.max_pivot_candidates,
-                incremental=self.incremental,
             )
             id_result = investment.run()
         phase_seconds["investment_deployment"] = timer.elapsed

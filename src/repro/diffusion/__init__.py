@@ -3,16 +3,16 @@
 The diffusion subpackage implements the SC-constrained independent cascade of
 Sec. III (``sc_cascade``), the plain independent cascade it reduces to under
 the unlimited coupon strategy (``independent_cascade``), live-edge world
-realisations shared across estimator calls (``live_edge``), the Monte-Carlo
-expected-benefit estimator used by every algorithm (``monte_carlo``) with its
-two cascade backends — the dict-adjacency reference path and the compiled
-CSR + vectorized engine (``engine``) — an exact world-enumeration estimator
-for tiny graphs (``exact``) and reverse-reachable-set estimation for the
-plain-IC regime (``rr_sets``).
+realisations over the adjacency dicts (``live_edge``, the reference
+semantics), the Monte-Carlo expected-benefit estimator used by every
+algorithm (``monte_carlo``) on the compiled CSR + vectorized engine
+(``engine``), an exact world-enumeration estimator for tiny graphs
+(``exact``) and reverse-reachable-set estimation for the plain-IC regime
+(``rr_sets``).
 
 Construct estimators through :func:`make_estimator` (``factory``) rather than
 instantiating classes directly; the factory is the single switch point for
-the ``mc-compiled`` / ``mc`` / ``exact`` / ``rr`` methods.
+the ``mc-compiled`` / ``exact`` / ``rr`` methods.
 
 Batch evaluations — any set of candidate deployments compared against each
 other — through :class:`EvaluationPlan` / ``submit_many`` (``estimator``): the

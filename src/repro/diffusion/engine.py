@@ -1,8 +1,9 @@
 """Vectorized SC-constrained cascade engine over a compiled CSR graph.
 
-:class:`CompiledCascadeEngine` is the fast replacement for the dict-based
+:class:`CompiledCascadeEngine` is the fast implementation of the reference
 :func:`~repro.diffusion.live_edge.sample_worlds` +
-:func:`~repro.diffusion.live_edge.cascade_in_world` pair.  It draws live-edge
+:func:`~repro.diffusion.live_edge.cascade_in_world` pair over
+``SocialGraph``'s adjacency dicts.  It draws live-edge
 coin flips as flat numpy masks and pre-resolves, for every world, the **live
 adjacency**: each node's live out-edges in coupon hand-off order.  The
 SC-constrained cascade then never touches a dead edge — under the
@@ -27,21 +28,21 @@ benefit — are **bit-identical** for any shard size, and for any worker count
 
 Common-random-numbers parity
 ----------------------------
-The engine reproduces the dict path *exactly* for a fixed seed:
+The engine reproduces the reference pair *exactly* for a fixed seed:
 
 * coin flips are drawn per world in ``graph.edges()`` enumeration order — the
   same stream consumption as ``sample_worlds`` — and an edge is live iff
   ``draw < probability``, so world ``w`` here is bit-for-bit world ``w`` there;
 * the cascade processes a FIFO queue seeded in caller order and walks each
   holder's live out-edges in ranked order, redeeming on not-yet-active
-  targets until the coupons run out.  Dead-edge visits in the dict path are
+  targets until the coupons run out.  Dead-edge visits in the reference are
   no-ops (they neither activate nor consume a coupon), so skipping them leaves
   the activated set, the redemption order, and therefore every activation
   count identical.
 
-Expected-benefit totals can differ from the dict path in the last few ulps
-only, because the dict path sums per-world benefits in Python-set iteration
-order while the engine accumulates in activation order.
+Expected-benefit totals can differ from a per-world sum over the reference
+cascade in the last few ulps only, because such a sum runs in Python-set
+iteration order while the engine accumulates in activation order.
 """
 
 from __future__ import annotations
@@ -645,7 +646,7 @@ class CompiledCascadeEngine:
         Number of live-edge worlds shared by every evaluation (common random
         numbers).
     seed:
-        RNG seed; the same seed reproduces the dict path's worlds exactly.
+        RNG seed; the same seed reproduces ``sample_worlds``' worlds exactly.
     shard_size:
         ``None`` (default) keeps every world resident, exactly the historic
         behaviour.  A positive integer makes the engine materialise worlds in

@@ -2,18 +2,14 @@
 
 Every algorithm in the library — S3CA's greedy phases, the IM/PM/IM-S
 baselines, the exhaustive optimal solver — prices candidate deployments
-through one abstract contract: :class:`BenefitEstimator`.  Four
+through one abstract contract: :class:`BenefitEstimator`.  Three
 implementations exist, selectable through
 :func:`repro.diffusion.factory.make_estimator`:
 
 ``mc-compiled``
     :class:`~repro.diffusion.monte_carlo.MonteCarloEstimator` running on the
-    compiled CSR backend (:mod:`repro.graph.csr`) with the vectorized cascade
+    compiled CSR graph (:mod:`repro.graph.csr`) with the vectorized cascade
     engine (:mod:`repro.diffusion.engine`).  The default.
-``mc``
-    The same estimator on the original dict-adjacency cascade.  Bit-for-bit
-    the same activation probabilities for a fixed seed; kept as the reference
-    implementation and for graphs mutated after estimator construction.
 ``exact``
     :class:`~repro.diffusion.exact.ExactEstimator` — world enumeration,
     tractable only for tens of edges.
@@ -51,12 +47,15 @@ S3CA's three phases, the baselines and the experiment harness all build plans
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Dict, FrozenSet, Hashable, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import (
+    Dict, FrozenSet, Hashable, Iterable, List, Mapping, Optional, Sequence, Set,
+    Tuple, Union,
+)
 
 from repro.graph.social_graph import SocialGraph
 
 NodeId = Hashable
-DeploymentKey = Tuple[FrozenSet, Tuple]
+DeploymentKey = Tuple[FrozenSet, Union[Tuple, FrozenSet]]
 #: One plan entry / batch element: ``(seeds, allocation)``.
 DeploymentSpec = Tuple[Iterable[NodeId], Mapping[NodeId, int]]
 
@@ -227,7 +226,18 @@ class BenefitEstimator(ABC):
     def _key(
         seeds: Iterable[NodeId], allocation: Mapping[NodeId, int]
     ) -> DeploymentKey:
-        return (
-            frozenset(seeds),
-            tuple(sorted((node, int(k)) for node, k in allocation.items() if k > 0)),
-        )
+        """Order-insensitive identity of ``(seeds, allocation)``.
+
+        The coupons are a sorted tuple, the compact form the memo caches hold
+        by the thousand.  Node ids that do not order against each other (an
+        int-id graph that gained a str-id node) cannot be sorted, and then
+        the coupons are a frozenset instead.  Sorting such a set always
+        fails, so a deployment always gets the same kind of key, and a tuple
+        never equals a frozenset: equal deployments share one key either way.
+        """
+        coupons = [(node, int(k)) for node, k in allocation.items() if k > 0]
+        try:
+            coupons.sort()
+        except TypeError:
+            return frozenset(seeds), frozenset(coupons)
+        return frozenset(seeds), tuple(coupons)

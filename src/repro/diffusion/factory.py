@@ -2,14 +2,14 @@
 
 The algorithms (S3CA, the baselines, the experiment runner, the CLI) never
 instantiate estimator classes directly; they ask :func:`make_estimator` for
-one by method name.  This keeps backend selection in one place, lets a single
-``--estimator`` flag reach every layer, and means new backends (sharded world
-sampling, multiprocess estimation, ...) only need to be registered here.
+one by method name.  This keeps estimator selection in one place, lets a
+single ``--estimator`` flag reach every layer, and means new estimators only
+need to be registered here.
 
 >>> from repro.experiments.datasets import toy_scenario
 >>> estimator = make_estimator(toy_scenario(), "mc-compiled", num_samples=50, seed=7)
->>> estimator.backend
-'compiled'
+>>> estimator.supports_incremental
+True
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from repro.graph.social_graph import SocialGraph
 from repro.utils.rng import SeedLike
 
 #: Method names accepted by :func:`make_estimator`.
-ESTIMATOR_METHODS = ("mc-compiled", "mc", "exact", "rr")
+ESTIMATOR_METHODS = ("mc-compiled", "exact", "rr")
 
 DEFAULT_ESTIMATOR_METHOD = "mc-compiled"
 
@@ -55,8 +55,7 @@ def make_estimator(
         A :class:`~repro.economics.scenario.Scenario` or the
         :class:`SocialGraph` itself.
     method:
-        ``"mc-compiled"`` — Monte-Carlo on the compiled CSR backend (default);
-        ``"mc"`` — Monte-Carlo on the dict-adjacency reference backend;
+        ``"mc-compiled"`` — Monte-Carlo on the compiled CSR graph (default);
         ``"exact"`` — exhaustive world enumeration (tiny graphs only);
         ``"rr"`` — reverse-reachable sets (plain-IC / unlimited-coupon regime
         only; ignores the allocation).
@@ -68,17 +67,19 @@ def make_estimator(
         RR-set count; defaults to ``max(2000, 25 * num_nodes)`` so every node
         gets a usable number of rooted samples.
     incremental:
-        Attach the delta-evaluation engine to the compiled Monte-Carlo
-        backend (default on; ignored by the other methods).  See
+        Attach the delta-evaluation engine to the Monte-Carlo estimator
+        (default on; ignored by the other methods).  The estimator's
+        ``supports_incremental`` then decides whether the greedy phases take
+        the delta path; ``False`` builds the eager reference.  See
         :mod:`repro.diffusion.delta`.
     shard_size / workers:
         Sharded world sampling and the multiprocess shard executor of the
-        compiled Monte-Carlo backend (ignored by the other methods).  Both
+        Monte-Carlo estimator (ignored by the other methods).  Both
         preserve bit-identical estimates; see
         :mod:`repro.diffusion.parallel`.
     pool:
         Optional :class:`~repro.diffusion.parallel.SharedShardPool` shared
-        across estimators (compiled Monte-Carlo backend only).  The estimator
+        across estimators (Monte-Carlo estimator only).  The estimator
         registers its worlds on the injected pool instead of creating its
         own, and never closes it — the pool's owner does.  ``workers`` is
         ignored when a pool is given (the pool's width wins).
@@ -86,12 +87,12 @@ def make_estimator(
         In-flight bound of the batched evaluation scheduler
         (:meth:`~repro.diffusion.monte_carlo.MonteCarloEstimator.submit_many`);
         ``None`` derives ``max(2, 2 * workers)``.  Bit-identical results for
-        any value (compiled Monte-Carlo backend only).
+        any value (Monte-Carlo estimator only).
     use_kernel:
         Native cascade kernel dispatch (:mod:`repro.diffusion.kernels`):
         ``None`` auto-detects with silent interpreted fallback, ``True``
         warns on fallback, ``False`` forces the interpreted oracle.
-        Bit-identical estimates either way (compiled Monte-Carlo backend
+        Bit-identical estimates either way (Monte-Carlo estimator
         only).
     shared_memory:
         Zero-copy shared-memory transport of the compiled graph and the
@@ -99,7 +100,7 @@ def make_estimator(
         it exactly when worlds execute out-of-process (``pool`` or
         ``workers > 1``), ``True`` forces it (warning + by-value fallback
         when unavailable), ``False`` forces private copies.  Bit-identical
-        estimates for every setting (compiled Monte-Carlo backend only).
+        estimates for every setting (Monte-Carlo estimator only).
     """
     graph = getattr(scenario_or_graph, "graph", scenario_or_graph)
     if not isinstance(graph, SocialGraph):
@@ -112,7 +113,6 @@ def make_estimator(
             num_samples=num_samples,
             seed=seed,
             cache_size=cache_size,
-            backend="compiled",
             incremental=incremental,
             shard_size=shard_size,
             workers=workers,
@@ -120,14 +120,6 @@ def make_estimator(
             pipeline_depth=pipeline_depth,
             use_kernel=use_kernel,
             shared_memory=shared_memory,
-        )
-    if method == "mc":
-        return MonteCarloEstimator(
-            graph,
-            num_samples=num_samples,
-            seed=seed,
-            cache_size=cache_size,
-            backend="dict",
         )
     if method == "exact":
         return ExactEstimator(graph, max_edges=max_exact_edges)

@@ -10,10 +10,11 @@ makes marginal-redemption comparisons far less noisy than independent
 simulations, which is essential for the greedy phases of S3CA.
 
 This module is the *reference* implementation of world sampling and the
-in-world cascade.  The compiled backend
+in-world cascade.  The compiled engine
 (:class:`repro.diffusion.engine.CompiledCascadeEngine`) reproduces it bit for
-bit on CSR arrays and is the default in production paths; keep the two in
-lockstep when changing cascade semantics.
+bit on CSR arrays and runs every Monte-Carlo estimate; the exact estimator
+and the parity tests use this module directly.  Keep the two in lockstep when
+changing cascade semantics.
 """
 
 from __future__ import annotations

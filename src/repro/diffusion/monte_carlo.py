@@ -10,26 +10,18 @@ numbers) means the *difference* between two deployments — which is what greedy
 decisions compare — has much lower variance than with independent sampling,
 and it makes the whole pipeline deterministic for a given seed.
 
-Two interchangeable cascade backends execute the worlds:
-
-``compiled`` (the default)
-    The graph is compiled once into CSR arrays
-    (:class:`~repro.graph.csr.CompiledGraph`) and all coin flips are drawn as
-    flat masks by the vectorized
-    :class:`~repro.diffusion.engine.CompiledCascadeEngine`.  One pass yields
-    both the expected benefit and the activation counts, so an
-    ``expected_benefit`` call warms the ``activation_probabilities`` cache
-    and vice versa.
-``dict``
-    The original implementation over ``SocialGraph``'s adjacency dicts and
-    :func:`~repro.diffusion.live_edge.cascade_in_world`.  Kept as the
-    reference semantics and for graphs that are mutated after the estimator
-    is built (the compiled backend snapshots the graph at construction).
-
-Both backends consume the RNG stream identically, so for a fixed seed they
-produce the *same worlds* and the same activation probabilities, bit for bit;
-expected benefits can differ in the last few ulps only (floating-point
-summation order).
+The graph is compiled once into CSR arrays
+(:class:`~repro.graph.csr.CompiledGraph`) and all coin flips are drawn as flat
+masks by the vectorized
+:class:`~repro.diffusion.engine.CompiledCascadeEngine`.  For a fixed seed the
+worlds are exactly those of :func:`~repro.diffusion.live_edge.sample_worlds`,
+and each world's cascade is exactly
+:func:`~repro.diffusion.live_edge.cascade_in_world`; those two functions stay
+the reference semantics the engine is tested against.  One pass yields both
+the expected benefit and the activation counts, so an ``expected_benefit``
+call warms the ``activation_probabilities`` cache and vice versa.  The engine
+snapshots the graph at construction; graphs that evolve afterwards reach the
+estimator through :meth:`MonteCarloEstimator.ingest_events`.
 
 Results are memoised on the (frozen) deployment, because the greedy loops of
 S3CA re-evaluate the same base deployment against many candidate increments.
@@ -52,7 +44,6 @@ from repro.diffusion.delta import DeltaCascadeEngine, DeltaOutcome
 from repro.diffusion.engine import CompiledCascadeEngine
 from repro.diffusion.estimator import BenefitEstimator, DeploymentKey
 from repro.diffusion.reconcile import ReconcileOutcome, dirty_world_mask
-from repro.diffusion.live_edge import LiveEdgeWorld, cascade_in_world, sample_worlds
 from repro.exceptions import EstimationError
 from repro.graph.social_graph import SocialGraph
 from repro.utils.rng import SeedLike
@@ -60,8 +51,6 @@ from repro.utils.rng import SeedLike
 NodeId = Hashable
 
 __all__ = ["BenefitEstimator", "MonteCarloEstimator"]
-
-_BACKENDS = ("auto", "compiled", "dict")
 
 
 class MonteCarloEstimator(BenefitEstimator):
@@ -80,27 +69,25 @@ class MonteCarloEstimator(BenefitEstimator):
         Maximum number of memoised deployments; the cache is cleared wholesale
         when it grows past this bound (the greedy loops have strong temporal
         locality, so a simple policy is sufficient).
-    backend:
-        ``"compiled"`` (CSR + vectorized engine), ``"dict"`` (the original
-        adjacency-dict cascade) or ``"auto"`` (currently ``compiled``).
     incremental:
-        When ``True`` (the default) and the backend is compiled, a
+        When ``True`` (the default) a
         :class:`~repro.diffusion.delta.DeltaCascadeEngine` is attached so the
         greedy loops can evaluate single-investment changes against a
         snapshotted base deployment by re-simulating only the worlds the
-        change can affect — with bit-identical results to a full pass.  The
-        flag is ignored (treated as ``False``) on the dict backend.
+        change can affect — with bit-identical results to a full pass.
+        :attr:`supports_incremental` reports the choice, and it alone decides
+        whether :class:`~repro.core.marginal.MarginalRedemption` takes the
+        delta path; ``False`` builds the eager reference.
     shard_size:
         Evaluate worlds in blocks of this size — build, evaluate, discard —
         bounding peak memory to O(shard_size) worlds instead of
         O(num_samples).  ``None`` (default) keeps every world resident.  Any
-        value produces bit-identical estimates (compiled backend only; the
-        dict backend ignores it).
+        value produces bit-identical estimates.
     workers:
         ``workers > 1`` evaluates shard blocks on a persistent process pool
         (see :mod:`repro.diffusion.parallel`) with a deterministic streaming
         reduction: estimates are bit-identical for every worker count.
-        ``None``/``1`` evaluates in-process.  Compiled backend only.  Call
+        ``None``/``1`` evaluates in-process.  Call
         :meth:`close` (or use the estimator as a context manager) to release
         the pool.
     pool:
@@ -109,7 +96,7 @@ class MonteCarloEstimator(BenefitEstimator):
         the shared pool, inherits its worker count (``workers`` is then
         ignored) and **never closes an injected pool** — :meth:`close` only
         unregisters this estimator's sampler; shutting the pool down is its
-        owner's decision.  Compiled backend only.
+        owner's decision.
     pipeline_depth:
         How many submitted evaluations :meth:`submit_many` keeps in flight
         before draining the oldest.  ``None`` (default) picks
@@ -122,7 +109,6 @@ class MonteCarloEstimator(BenefitEstimator):
         when a backend resolves and silently falls back to the interpreted
         loop otherwise; ``True`` warns on fallback; ``False`` forces the
         interpreted oracle path.  Estimates are bit-identical either way.
-        Compiled backend only.
     shared_memory:
         Zero-copy transport of the compiled graph and the materialised world
         blocks through POSIX shared memory (:mod:`repro.utils.shm`).  ``None``
@@ -132,8 +118,7 @@ class MonteCarloEstimator(BenefitEstimator):
         estimators on the machine can attach this estimator's blocks),
         warning and falling back to by-value transport when the platform
         lacks shared memory; ``False`` forces the private-copy transport.
-        Estimates are bit-identical for every setting.  Compiled backend
-        only.
+        Estimates are bit-identical for every setting.
     """
 
     def __init__(
@@ -143,7 +128,6 @@ class MonteCarloEstimator(BenefitEstimator):
         seed: SeedLike = None,
         *,
         cache_size: int = 50_000,
-        backend: str = "auto",
         incremental: bool = True,
         shard_size: Optional[int] = None,
         workers: Optional[int] = None,
@@ -155,47 +139,29 @@ class MonteCarloEstimator(BenefitEstimator):
         super().__init__(graph)
         if num_samples <= 0:
             raise EstimationError(f"num_samples must be > 0, got {num_samples}")
-        if backend not in _BACKENDS:
-            raise EstimationError(
-                f"unknown backend {backend!r}; expected one of {_BACKENDS}"
-            )
         self.num_samples = int(num_samples)
         self.cache_size = int(cache_size)
-        self.backend = "compiled" if backend == "auto" else backend
-        self._worlds: Tuple[LiveEdgeWorld, ...] = ()
-        self._engine = None
-        self._delta: Optional[DeltaCascadeEngine] = None
+        self._engine = engine = CompiledCascadeEngine(
+            graph.compiled(), self.num_samples, seed,
+            shard_size=shard_size, workers=workers, pool=pool,
+            use_kernel=use_kernel, shared_memory=shared_memory,
+        )
+        self._delta: Optional[DeltaCascadeEngine] = (
+            DeltaCascadeEngine(engine) if incremental else None
+        )
         self._delta_base_key: Optional[DeploymentKey] = None
-        if self.backend == "compiled":
-            self._engine = CompiledCascadeEngine(
-                graph.compiled(), self.num_samples, seed,
-                shard_size=shard_size, workers=workers, pool=pool,
-                use_kernel=use_kernel, shared_memory=shared_memory,
-            )
-            if incremental:
-                self._delta = DeltaCascadeEngine(self._engine)
-        else:
-            self._worlds = tuple(sample_worlds(graph, self.num_samples, seed))
-        self.incremental = self._delta is not None
-        self.shard_size = self._engine.shard_size if self._engine is not None else None
-        self.workers = self._engine.workers if self._engine is not None else 1
-        self.pool = self._engine.pool if self._engine is not None else None
-        engine = self._engine
+        self.shard_size = engine.shard_size
+        self.workers = engine.workers
+        self.pool = engine.pool
         #: Whether the native cascade kernel executes this estimator's worlds,
         #: which backend resolved, and what building and warming it cost
-        #: (benchmark instrumentation; all trivially False/None/0.0 on the
-        #: dict backend).
-        self.kernel_active = engine.kernel_active if engine is not None else False
-        self.kernel_backend = engine.kernel_backend if engine is not None else None
-        self.kernel_compile_seconds = (
-            engine.kernel_compile_seconds if engine is not None else 0.0
-        )
+        #: (benchmark instrumentation).
+        self.kernel_active = engine.kernel_active
+        self.kernel_backend = engine.kernel_backend
+        self.kernel_compile_seconds = engine.kernel_compile_seconds
         #: Whether the zero-copy shared-memory transport carries this
-        #: estimator's graph and world blocks (always False on the dict
-        #: backend, where nothing is compiled to share).
-        self.shared_memory_active = (
-            engine.shared_memory if engine is not None else False
-        )
+        #: estimator's graph and world blocks.
+        self.shared_memory_active = engine.shared_memory
         if pipeline_depth is not None:
             pipeline_depth = int(pipeline_depth)
             if pipeline_depth < 1:
@@ -223,12 +189,7 @@ class MonteCarloEstimator(BenefitEstimator):
         cached = self._benefit_cache.get(key)
         if cached is not None:
             return cached
-        if self._engine is not None:
-            benefit = self._evaluate_compiled(key, seeds, allocation)[1]
-        else:
-            benefit = self._evaluate_benefit(seeds, allocation)
-            self._remember(self._benefit_cache, key, benefit)
-        return benefit
+        return self._evaluate(key, seeds, allocation)[1]
 
     def submit_many(
         self, deployments: Sequence[Tuple[Iterable[NodeId], Mapping[NodeId, int]]]
@@ -247,11 +208,6 @@ class MonteCarloEstimator(BenefitEstimator):
         deployments = [
             (_canonical_seeds(seeds), allocation) for seeds, allocation in deployments
         ]
-        if self._engine is None:
-            return [
-                self.expected_benefit(seeds, allocation)
-                for seeds, allocation in deployments
-            ]
         results: List[Optional[float]] = [None] * len(deployments)
         in_flight: "OrderedDict[DeploymentKey, Tuple[object, List[int]]]" = (
             OrderedDict()
@@ -294,33 +250,20 @@ class MonteCarloEstimator(BenefitEstimator):
         cached = self._probability_cache.get(key)
         if cached is not None:
             return dict(cached)
-        if self._engine is not None:
-            return dict(self._evaluate_compiled(key, seeds, allocation)[0])
-        counts: Dict[NodeId, int] = {}
-        for world in self._worlds:
-            for node in cascade_in_world(self.graph, world, seeds, allocation):
-                counts[node] = counts.get(node, 0) + 1
-        probabilities = {
-            node: count / self.num_samples for node, count in counts.items()
-        }
-        self._remember(self._probability_cache, key, probabilities)
-        self.evaluations += 1
-        return dict(probabilities)
+        return dict(self._evaluate(key, seeds, allocation)[0])
 
     def expected_spreads(
         self, deployments: Sequence[Tuple[Iterable[NodeId], Mapping[NodeId, int]]]
     ) -> List[float]:
         """Expected activation counts of a batch of deployments, pipelined.
 
-        On the compiled backend one pipelined pass per uncached deployment
-        warms both memo caches (:meth:`submit_many` stores benefit *and*
+        One pipelined pass per uncached deployment warms both memo caches (:meth:`submit_many` stores benefit *and*
         activation probabilities from the same counts), after which the
         per-deployment :meth:`expected_spread` reads are cache hits — the
         returned values are bit-identical to looping :meth:`expected_spread`
         without the batch.
         """
-        if self._engine is not None:
-            self.submit_many(deployments)
+        self.submit_many(deployments)
         return [
             self.expected_spread(seeds, allocation)
             for seeds, allocation in deployments
@@ -345,8 +288,7 @@ class MonteCarloEstimator(BenefitEstimator):
 
     def close(self) -> None:
         """Release the worker pool, if one was started (idempotent)."""
-        if self._engine is not None:
-            self._engine.close()
+        self._engine.close()
 
     def __enter__(self) -> "MonteCarloEstimator":
         return self
@@ -557,12 +499,8 @@ class MonteCarloEstimator(BenefitEstimator):
 
         Mutates the estimator's :class:`SocialGraph` (delta-recompiling its
         CSR cache) and then reconciles this estimator onto the evolved graph
-        via :meth:`reconcile`.  Compiled backend only.
+        via :meth:`reconcile`.
         """
-        if self._engine is None:
-            raise EstimationError(
-                "graph-event ingestion requires the compiled backend"
-            )
         application = self.graph.apply_events(batch)
         return self.reconcile(application)
 
@@ -580,10 +518,6 @@ class MonteCarloEstimator(BenefitEstimator):
         are re-memoised, so a subsequent :meth:`snapshot_base` on the same
         deployment stays a no-op.
         """
-        if self._engine is None:
-            raise EstimationError(
-                "graph-event reconciliation requires the compiled backend"
-            )
         engine = self._engine
         # Probe dirtiness on the evolved sampler before the engine adopts it:
         # chaining clean shared blocks needs the mask.
@@ -629,14 +563,14 @@ class MonteCarloEstimator(BenefitEstimator):
     def _require_delta(self) -> DeltaCascadeEngine:
         if self._delta is None:
             raise EstimationError(
-                "incremental evaluation requires the compiled backend with "
+                "incremental evaluation requires an estimator built with "
                 "incremental=True"
             )
         return self._delta
 
     # ------------------------------------------------------------------
 
-    def _evaluate_compiled(
+    def _evaluate(
         self,
         key: DeploymentKey,
         seeds: Iterable[NodeId],
@@ -658,17 +592,6 @@ class MonteCarloEstimator(BenefitEstimator):
             node_ids[int(node_index)]: int(counts[node_index]) / num_samples
             for node_index in np.flatnonzero(counts)
         }
-
-    def _evaluate_benefit(
-        self, seeds: Iterable[NodeId], allocation: Mapping[NodeId, int]
-    ) -> float:
-        total = 0.0
-        graph = self.graph
-        for world in self._worlds:
-            activated = cascade_in_world(graph, world, seeds, allocation)
-            total += sum(graph.benefit(node) for node in activated)
-        self.evaluations += 1
-        return total / self.num_samples
 
     def _remember(self, cache: Dict, key: DeploymentKey, value) -> None:
         if len(cache) >= self.cache_size:

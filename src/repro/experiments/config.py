@@ -48,10 +48,6 @@ class ExperimentConfig:
     max_pivot_candidates: Optional[int] = 150
     limited_coupons: int = 32
     estimator_method: str = DEFAULT_ESTIMATOR_METHOD
-    #: Delta-evaluation engine + CELF lazy queue for S3CA's ID phase.  The
-    #: selected deployments are bit-identical either way; False forces the
-    #: eager full-resimulation reference path.
-    incremental: bool = True
     #: Sharded world sampling: evaluate worlds in blocks of this size,
     #: bounding peak memory to O(shard_size) worlds.  ``None`` keeps every
     #: world resident.  Estimates are bit-identical for any value.

@@ -91,7 +91,6 @@ class ExperimentRunner:
                 self.config.estimator_method,
                 num_samples=self.config.num_samples,
                 seed=self.config.seed,
-                incremental=self.config.incremental,
                 shard_size=self.config.shard_size,
                 workers=self.config.workers,
                 pool=pool,
@@ -150,7 +149,6 @@ class ExperimentRunner:
                     estimator=est,
                     candidate_limit=config.candidate_limit,
                     max_pivot_candidates=config.max_pivot_candidates,
-                    incremental=config.incremental,
                 ),
             )
         )

@@ -89,7 +89,6 @@ def measure_s3ca(
         config.estimator_method,
         num_samples=config.num_samples,
         seed=config.seed,
-        incremental=config.incremental,
         shard_size=config.shard_size,
         workers=config.workers,
         pool=pool,
@@ -103,7 +102,6 @@ def measure_s3ca(
             estimator=estimator,
             candidate_limit=config.candidate_limit,
             max_pivot_candidates=config.max_pivot_candidates,
-            incremental=config.incremental,
         )
         with Timer() as timer:
             result = algorithm.solve()

@@ -59,7 +59,6 @@ class SolveRequest(BaseModel):
     candidate_limit: Optional[int] = Field(default=8, gt=0)
     pivot_limit: Optional[int] = Field(default=20, gt=0)
     spend_full_budget: bool = False
-    incremental: bool = True
 
 
 #: Wire names of the graph event types, matching

@@ -128,7 +128,6 @@ class CampaignService:
                 candidate_limit=request.candidate_limit,
                 max_pivot_candidates=request.pivot_limit,
                 spend_full_budget=request.spend_full_budget,
-                incremental=request.incremental,
             )
             result = algorithm.solve()
             solve_seconds = time.perf_counter() - began

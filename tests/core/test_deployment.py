@@ -99,6 +99,16 @@ def test_key_memo_invalidated_by_allocation_mutation(two_hop_path):
     assert fresh[1] == (("a", 1), ("b", 1))
 
 
+def test_key_with_mixed_type_node_ids(two_hop_path):
+    # An int-id node next to str ids: ids that do not order still key.
+    two_hop_path.add_node(7, benefit=1.0, seed_cost=1.0, sc_cost=1.0)
+    two_hop_path.add_edge(7, "a", 0.5)
+    first = Deployment(two_hop_path, seeds=["b", 7], allocation={"b": 1, 7: 1})
+    second = Deployment(two_hop_path, seeds=[7, "b"], allocation={7: 1, "b": 1})
+    assert first.key() == second.key()
+    assert first.with_extra_coupon("a").key() != first.key()
+
+
 def test_key_memo_not_shared_by_variants(two_hop_path):
     base = Deployment(two_hop_path, seeds=["a"], allocation={"a": 1})
     base_key = base.key()

@@ -166,7 +166,7 @@ def test_eager_coupon_candidate_pass_batched_matches_serial(scenario):
         )
         result = InvestmentDeployment(
             scenario, estimator,
-            candidate_limit=8, max_pivot_candidates=15, incremental=False,
+            candidate_limit=8, max_pivot_candidates=15,
         ).run()
         return result
 

@@ -1,10 +1,11 @@
 """Identity of the incremental (CELF-lazy) greedy and the eager reference.
 
 The acceptance bar for the incremental ID phase is not "close" but *equal*:
-for a fixed RNG seed, ``incremental=True`` must select the same seeds, the
-same coupon allocation and report the same expected benefit as the eager
-full-resimulation loop, on the toy scenario and on Fig. 9-style synthetic
-graphs alike.
+for a fixed RNG seed, an estimator built with ``incremental=True`` must make
+S3CA select the same seeds, the same coupon allocation and report the same
+expected benefit as the eager full-resimulation loop an
+``incremental=False`` estimator drives (the test oracle), on the toy scenario
+and on Fig. 9-style synthetic graphs alike.
 """
 
 from __future__ import annotations
@@ -23,9 +24,7 @@ def _solve(scenario, incremental, *, num_samples=60, seed=11, **kwargs):
         scenario, "mc-compiled", num_samples=num_samples, seed=seed,
         incremental=incremental,
     )
-    return S3CA(
-        scenario, estimator=estimator, incremental=incremental, **kwargs
-    ).solve()
+    return S3CA(scenario, estimator=estimator, **kwargs).solve()
 
 
 def _assert_identical(eager, lazy):
@@ -69,7 +68,6 @@ def test_id_phase_snapshot_sequence_identical():
         )
         phase = InvestmentDeployment(
             scenario, estimator, candidate_limit=10, max_pivot_candidates=30,
-            incremental=incremental,
         )
         runs[incremental] = phase.run()
     eager, lazy = runs[False], runs[True]
@@ -94,8 +92,4 @@ def test_incremental_flag_defaults_to_estimator_capability():
         scenario, "mc-compiled", num_samples=20, seed=1, incremental=False
     )
     phase = InvestmentDeployment(scenario, eager_only)
-    assert not phase.incremental
-    # Forcing incremental on an estimator without delta support degrades
-    # gracefully to the eager path.
-    phase = InvestmentDeployment(scenario, eager_only, incremental=True)
     assert not phase.incremental

@@ -1,9 +1,9 @@
-"""Bit-parity tests: compiled cascade engine vs the dict-path reference.
+"""Bit-parity tests: compiled cascade engine vs the dict-adjacency reference.
 
-The engine must reproduce the dict path's live-edge worlds and cascades
-exactly for a fixed seed (common random numbers included): identical
-activation probabilities, and expected benefits equal up to floating-point
-summation order.
+The engine must reproduce :func:`sample_worlds`' live-edge worlds and
+:func:`cascade_in_world`'s cascades exactly for a fixed seed (common random
+numbers included): identical activation probabilities, and expected benefits
+equal up to floating-point summation order.
 """
 
 import hypothesis.strategies as st
@@ -12,7 +12,6 @@ from hypothesis import given, settings
 
 from repro.diffusion.engine import CompiledCascadeEngine
 from repro.diffusion.live_edge import cascade_in_world, sample_worlds
-from repro.diffusion.monte_carlo import MonteCarloEstimator
 from repro.graph.csr import CompiledGraph
 from repro.graph.generators import ppgg_like_graph, star_graph
 from repro.graph.social_graph import SocialGraph
@@ -50,29 +49,36 @@ def instance(draw):
     return graph, seeds, allocation
 
 
+def reference_estimates(graph, num_worlds, seed, seeds, allocation):
+    """Activation probabilities and expected benefit from the reference loop."""
+    counts = {}
+    total = 0.0
+    for world in sample_worlds(graph, num_worlds, seed):
+        activated = cascade_in_world(graph, world, seeds, allocation)
+        total += sum(graph.benefit(node) for node in activated)
+        for node in activated:
+            counts[node] = counts.get(node, 0) + 1
+    probabilities = {node: count / num_worlds for node, count in counts.items()}
+    return probabilities, total / num_worlds
+
+
 @settings(max_examples=40, deadline=None)
 @given(instance(), st.integers(min_value=0, max_value=2**31 - 1))
 def test_activation_probabilities_bit_parity_with_dict_backend(data, seed):
     graph, seeds, allocation = data
-    dict_estimator = MonteCarloEstimator(
-        graph, num_samples=25, seed=seed, backend="dict"
-    )
     engine = CompiledCascadeEngine(graph, 25, seed=seed)
-    assert engine.activation_probabilities(
-        seeds, allocation
-    ) == dict_estimator.activation_probabilities(seeds, allocation)
+    expected, _ = reference_estimates(graph, 25, seed, seeds, allocation)
+    assert engine.activation_probabilities(seeds, allocation) == expected
 
 
 @settings(max_examples=40, deadline=None)
 @given(instance(), st.integers(min_value=0, max_value=2**31 - 1))
 def test_expected_benefit_parity_with_dict_backend(data, seed):
     graph, seeds, allocation = data
-    dict_estimator = MonteCarloEstimator(
-        graph, num_samples=25, seed=seed, backend="dict"
-    )
     engine = CompiledCascadeEngine(graph, 25, seed=seed)
+    _, expected = reference_estimates(graph, 25, seed, seeds, allocation)
     assert engine.expected_benefit(seeds, allocation) == pytest.approx(
-        dict_estimator.expected_benefit(seeds, allocation), rel=1e-12, abs=1e-12
+        expected, rel=1e-12, abs=1e-12
     )
 
 

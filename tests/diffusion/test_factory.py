@@ -1,4 +1,4 @@
-"""Tests for the unified estimator factory and the estimator backends."""
+"""Tests for the unified estimator factory and the estimators it builds."""
 
 import pytest
 
@@ -13,6 +13,7 @@ from repro.diffusion.rr_sets import RRBenefitEstimator
 from repro.exceptions import EstimationError
 from repro.experiments.datasets import toy_scenario
 from repro.graph.generators import path_graph, star_graph
+from tests.diffusion.test_engine import reference_estimates
 
 
 def unit_benefit(graph):
@@ -25,12 +26,14 @@ def test_default_method_is_compiled_monte_carlo():
     assert DEFAULT_ESTIMATOR_METHOD == "mc-compiled"
     estimator = make_estimator(toy_scenario(), num_samples=20, seed=1)
     assert isinstance(estimator, MonteCarloEstimator)
-    assert estimator.backend == "compiled"
+    assert estimator.supports_incremental
 
 
 def test_method_dispatch():
     scenario = toy_scenario()
-    assert make_estimator(scenario, "mc", num_samples=5).backend == "dict"
+    assert isinstance(
+        make_estimator(scenario, "mc-compiled", num_samples=5), MonteCarloEstimator
+    )
     assert isinstance(make_estimator(scenario, "exact"), ExactEstimator)
     assert isinstance(
         make_estimator(scenario, "rr", num_rr_sets=50, seed=1), RRBenefitEstimator
@@ -39,7 +42,7 @@ def test_method_dispatch():
 
 def test_accepts_bare_graph():
     graph = unit_benefit(star_graph(4))
-    estimator = make_estimator(graph, "mc", num_samples=5, seed=0)
+    estimator = make_estimator(graph, "mc-compiled", num_samples=5, seed=0)
     assert estimator.graph is graph
 
 
@@ -48,6 +51,8 @@ def test_unknown_method_and_bad_input_rejected():
         make_estimator(toy_scenario(), "quantum")
     with pytest.raises(EstimationError):
         make_estimator(toy_scenario(), "tiered")
+    with pytest.raises(EstimationError):
+        make_estimator(toy_scenario(), "mc")
     with pytest.raises(EstimationError):
         make_estimator(42)
 
@@ -64,19 +69,17 @@ def test_every_advertised_method_constructs():
 
 
 def test_compiled_and_dict_methods_agree_bit_for_bit():
+    """The factory's estimator matches the dict-adjacency reference cascade."""
     scenario = toy_scenario()
+    graph = scenario.graph
     compiled = make_estimator(scenario, "mc-compiled", num_samples=40, seed=11)
-    reference = make_estimator(scenario, "mc", num_samples=40, seed=11)
-    nodes = list(scenario.graph.nodes())
-    seeds = nodes[:2]
-    allocation = {
-        node: min(scenario.graph.out_degree(node), 2) for node in nodes[:4]
-    }
-    assert compiled.activation_probabilities(
-        seeds, allocation
-    ) == reference.activation_probabilities(seeds, allocation)
+    nodes = list(graph.nodes())
+    seeds = sorted(nodes[:2], key=str)  # the estimator's canonical seed order
+    allocation = {node: min(graph.out_degree(node), 2) for node in nodes[:4]}
+    probabilities, benefit = reference_estimates(graph, 40, 11, seeds, allocation)
+    assert compiled.activation_probabilities(seeds, allocation) == probabilities
     assert compiled.expected_benefit(seeds, allocation) == pytest.approx(
-        reference.expected_benefit(seeds, allocation), rel=1e-12
+        benefit, rel=1e-12
     )
 
 
@@ -102,8 +105,3 @@ def test_rr_estimator_is_sane_on_a_deterministic_path():
     assert estimator.expected_benefit([0], {}) == pytest.approx(3.0)
     assert estimator.activation_probabilities([], {}) == {}
 
-
-def test_monte_carlo_rejects_unknown_backend():
-    graph = unit_benefit(star_graph(3))
-    with pytest.raises(EstimationError):
-        MonteCarloEstimator(graph, num_samples=5, backend="gpu")

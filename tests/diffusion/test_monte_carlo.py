@@ -107,3 +107,23 @@ def test_empty_deployment_has_zero_benefit():
     graph = unit_benefit(path_graph(3))
     estimator = MonteCarloEstimator(graph, num_samples=10, seed=9)
     assert estimator.expected_benefit([], {}) == 0.0
+
+
+def test_mixed_type_node_ids_key_memoise_and_delta():
+    """An int-id graph that gained a str-id node keys, memoises and deltas."""
+    graph = unit_benefit(star_graph(3, probability=0.5))
+    graph.add_node("newbie", benefit=2.0, sc_cost=1.0, seed_cost=1.0)
+    graph.add_edge(0, "newbie", 0.6)
+    graph.add_edge("newbie", 1, 0.7)
+    estimator = MonteCarloEstimator(graph, num_samples=40, seed=4)
+    allocation = {0: 2, "newbie": 1}
+    benefit = estimator.expected_benefit([0, "newbie"], allocation)
+    evaluations = estimator.evaluations
+    # Same deployment, other iteration orders: one memo entry.
+    assert estimator.expected_benefit(["newbie", 0], {"newbie": 1, 0: 2}) == benefit
+    assert estimator.evaluations == evaluations
+    assert estimator._key([0], allocation) == estimator._key([0], {"newbie": 1, 0: 2})
+
+    outcome = estimator.delta_extra_coupon([0], {0: 2}, "newbie", [0], allocation)
+    cold = MonteCarloEstimator(graph, num_samples=40, seed=4, incremental=False)
+    assert outcome.benefit == cold.expected_benefit([0], allocation)

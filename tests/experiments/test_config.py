@@ -30,6 +30,7 @@ def test_replace_returns_modified_copy():
         {"repetitions": 0},
         {"lam": 0},
         {"kappa": -1},
+        {"estimator_method": "mc"},
     ],
 )
 def test_invalid_values_rejected(kwargs):

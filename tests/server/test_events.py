@@ -114,6 +114,35 @@ class TestEventsReconcile:
         cold_benefit = _evolved_cold_benefit(entry.estimator, seeds, allocation)
         assert whatif["modified"]["expected_benefit"] == cold_benefit
 
+    def test_whatif_on_mixed_type_node_ids_after_node_add(self, service):
+        # The dataset's int node ids plus a str-id joiner: the estimator's
+        # memo keys must cope with ids that do not order against each other
+        # (sorting them raised TypeError, an HTTP 500).
+        sid = _registered(service)
+        result = _solved(service, sid)
+        entry = service.registry.get(sid)
+        graph = entry.scenario.graph
+        target = result["seeds"][0]
+        service.apply_events(sid, GraphEventsRequest(events=[
+            {"type": "node_add", "node": "newbie", "benefit": 3.0},
+            {"type": "edge_add", "source": target, "target": "newbie",
+             "probability": 0.4},
+        ]))
+        whatif = service.whatif(
+            sid, WhatIfRequest(extra_coupons={target: 1, "newbie": 1})
+        )
+        assert whatif["answered_by"] == "delta-splice"
+
+        seeds = {int(raw) for raw in result["seeds"]}
+        allocation = {
+            int(raw): count for raw, count in result["allocation"].items()
+        }
+        allocation[int(target)] = allocation.get(int(target), 0) + 1
+        allocation["newbie"] = 1
+        assert "newbie" in graph and int(target) in graph
+        cold_benefit = _evolved_cold_benefit(entry.estimator, seeds, allocation)
+        assert whatif["modified"]["expected_benefit"] == cold_benefit
+
     def test_solved_benefit_is_restated_on_the_new_graph(self, service):
         sid = _registered(service)
         result = _solved(service, sid)

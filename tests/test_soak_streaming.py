@@ -41,13 +41,9 @@ def _fd_count():
         return None
 
 
-def _run_id_phase(scenario, estimator, incremental):
+def _run_id_phase(scenario, estimator):
     result = InvestmentDeployment(
-        scenario,
-        estimator,
-        candidate_limit=5,
-        max_pivot_candidates=12,
-        incremental=incremental,
+        scenario, estimator, candidate_limit=5, max_pivot_candidates=12
     ).run()
     return [
         (
@@ -82,7 +78,7 @@ def test_soak_shared_pool_many_estimators_no_leaks_and_trace_identity():
                 scenario, num_samples=NUM_SAMPLES, seed=11,
                 shard_size=6, pool=pool,
             )
-            traces.append(_run_id_phase(scenario, estimator, incremental=True))
+            traces.append(_run_id_phase(scenario, estimator))
             estimator.close()
             # A closed estimator may pin its zero-copy graph mapping until
             # collected; the leak contract is that *collection* releases
@@ -110,7 +106,7 @@ def test_soak_shared_pool_many_estimators_no_leaks_and_trace_identity():
         estimator = make_estimator(
             scenario, num_samples=NUM_SAMPLES, seed=11, incremental=False
         )
-        assert trace == _run_id_phase(scenario, estimator, incremental=False)
+        assert trace == _run_id_phase(scenario, estimator)
 
 
 def test_soak_interleaved_estimators_on_one_pool(two_hop_path):
