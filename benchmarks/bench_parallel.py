@@ -7,9 +7,11 @@ benchmark measures what those knobs buy on a Fig. 9-style synthetic graph:
 
 * **throughput** — full-pass benefit evaluations per second for the serial
   resident-worlds estimator vs the worker pool (distinct deployments each
-  call, so the memo cache never short-circuits the engine), and for the
-  *pipelined* submission path (several evaluations pending on one shared
-  pool, drained in submission order) vs one-at-a-time submission;
+  call, so the memo cache never short-circuits the engine), for the
+  *pipelined* submission path (several single-deployment batches pending on
+  one shared pool, drained in submission order) vs one-at-a-time
+  submission, and for one *batched* submission (every deployment in one
+  ``engine.submit``: one task per worker in total);
 * **parent idle time** — the fraction of wall-clock the parent spent blocked
   waiting for the next block completion (the streaming reduction folds each
   block as it arrives; pipelining fills the remaining waits with other
@@ -158,11 +160,11 @@ def _pipelined_throughput(engine, deployments, depth):
     pending = deque()
     with Timer() as timer:
         for seeds, allocation in deployments:
-            pending.append(engine.submit(seeds, allocation))
+            pending.append(engine.submit([(seeds, allocation)]))
             if len(pending) >= depth:
-                benefits.append(pending.popleft().result()[1])
+                benefits.append(pending.popleft().result()[0][1])
         while pending:
-            benefits.append(pending.popleft().result()[1])
+            benefits.append(pending.popleft().result()[0][1])
     rate = len(deployments) / timer.elapsed if timer.elapsed else float("inf")
     idle = (
         (executor.wait_seconds_total - wait_before) / timer.elapsed
@@ -170,6 +172,14 @@ def _pipelined_throughput(engine, deployments, depth):
         else 0.0
     )
     return benefits, rate, idle
+
+
+def _batched_throughput(engine, deployments):
+    """(benefits, evals/sec) — the whole list as one ``engine.submit`` batch."""
+    with Timer() as timer:
+        benefits = [benefit for _, benefit in engine.submit(deployments).result()]
+    rate = len(deployments) / timer.elapsed if timer.elapsed else float("inf")
+    return benefits, rate
 
 
 def _peak_memory(compiled, shard_size, deployment):
@@ -250,6 +260,8 @@ def test_parallel_estimation_throughput_and_memory(report):
             "speedup": None,
             "pipelined_evals_per_sec": None,
             "pipeline_speedup": None,
+            "batched_evals_per_sec": None,
+            "batch_speedup": None,
             "parent_idle_frac_sequential": None,
             "parent_idle_frac_pipelined": None,
             "identical_benefits": True,
@@ -293,6 +305,9 @@ def test_parallel_estimation_throughput_and_memory(report):
                             parallel, deployments, depth=2 * effective_workers
                         )
                     )
+                    batched_benefits, batched_rate = _batched_throughput(
+                        parallel, deployments
+                    )
                 finally:
                     parallel.close()
                 assert not pool.closed  # the engine released only its sampler
@@ -301,11 +316,14 @@ def test_parallel_estimation_throughput_and_memory(report):
             assert private_benefits == serial_benefits
             assert parallel_benefits == serial_benefits
             assert pipelined_benefits == serial_benefits
+            assert batched_benefits == serial_benefits
             point.update(
                 parallel_evals_per_sec=round(parallel_rate, 2),
                 speedup=round(parallel_rate / serial_rate, 2),
                 pipelined_evals_per_sec=round(pipelined_rate, 2),
                 pipeline_speedup=round(pipelined_rate / parallel_rate, 2),
+                batched_evals_per_sec=round(batched_rate, 2),
+                batch_speedup=round(batched_rate / serial_rate, 2),
                 parent_idle_frac_sequential=round(seq_idle, 3),
                 parent_idle_frac_pipelined=round(pipe_idle, 3),
                 pool_broadcast_bytes_private=private_broadcast_bytes,

@@ -94,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument(
             "--pipeline-depth", type=_positive_int, default=None,
             help="in-flight bound of the batched evaluation scheduler: how "
-                 "many submitted evaluations a batch keeps pending before "
+                 "many submitted chunks a batch keeps pending before "
                  "draining the oldest (results are bit-identical for any "
                  "value; default: max(2, 2*workers))",
         )

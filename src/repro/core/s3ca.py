@@ -133,8 +133,8 @@ class S3CA:
         its owner decides.  Ignored when ``estimator`` is supplied.
     pipeline_depth:
         In-flight bound of the default estimator's batched evaluation
-        scheduler (how many submitted evaluations a plan keeps pending
-        before draining the oldest).  ``None`` derives ``max(2, 2 *
+        scheduler (how many submitted chunks a plan keeps pending before
+        draining the oldest).  ``None`` derives ``max(2, 2 *
         workers)``.  Bit-identical results for any value; ignored when
         ``estimator`` is supplied.
     use_kernel:

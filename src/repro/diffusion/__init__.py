@@ -17,7 +17,8 @@ the ``mc-compiled`` / ``exact`` / ``rr`` methods.
 Batch evaluations — any set of candidate deployments compared against each
 other — through :class:`EvaluationPlan` / ``submit_many`` (``estimator``): the
 estimator schedules the batch (serial loop, or pipelined ``engine.submit``
-over the shard pool in ``parallel``) with bit-identical results either way.
+chunks over the shard pool in ``parallel``) with bit-identical results
+either way.
 """
 
 from repro.diffusion.independent_cascade import simulate_independent_cascade

@@ -69,10 +69,20 @@ NodeId = Hashable
 #: One world's live adjacency: (targets, offsets) in coupon hand-off order.
 WorldAdjacency = Tuple[List[int], List[int]]
 
-#: How many shard blocks the engine keeps resident at once.  Two covers the
-#: common access patterns (a sequential full pass, plus the delta engine
-#: revisiting the block it just left) without growing with ``num_worlds``.
+#: How many blocks of an explicit ``shard_size`` the engine keeps resident at
+#: once.  Two covers the common access patterns (a sequential full pass, plus
+#: the delta engine revisiting the block it just left) without growing with
+#: ``num_worlds``.  The default pool partition keeps all its blocks instead.
 _MAX_CACHED_BLOCKS = 2
+
+#: Bytes of int32 activation-count rows one pool task returns for a batch:
+#: ``submit_many`` sends ``_BATCH_BYTES // (4 × num_nodes)`` deployments per
+#: ``submit`` on a pool, so the parent's and workers' result buffers stay
+#: bounded whatever the graph size.  128 KiB keeps each buffer under glibc's
+#: default mmap threshold: a freed larger buffer raises that threshold and
+#: later ones grow the heap instead (256 KiB buffers measured 2–3 MB more
+#: peak RSS on the 800-node perfbench solve).
+_BATCH_BYTES = 1 << 17
 
 #: Draw-and-discard chunk for bit generators without ``advance``.
 _DISCARD_CHUNK = 65_536
@@ -658,8 +668,11 @@ class CompiledCascadeEngine:
         a persistent process pool (lazily, on the first :meth:`run`) that
         evaluates shard blocks concurrently with a deterministic streaming
         reduction — see :mod:`repro.diffusion.parallel`.  When ``shard_size``
-        is not set explicitly, a default of ``ceil(num_worlds / (4 ×
-        workers))`` keeps every worker busy with several blocks.
+        is not set explicitly, the default ``ceil(num_worlds / workers)``
+        gives every worker one block; the parent then keeps every block of
+        that partition mapped (the worlds a serial engine keeps resident
+        anyway), so its delta passes never re-attach or re-draw one.  An
+        explicit ``shard_size`` keeps at most two blocks in the parent.
     start_method:
         Optional multiprocessing start method (``"fork"``/``"spawn"``/...);
         default prefers ``fork`` where available.
@@ -757,18 +770,24 @@ class CompiledCascadeEngine:
         self.shared_memory = share
         self.compiled = compiled
 
+        explicit_shard_size = shard_size
         if shard_size is not None:
             shard_size = int(shard_size)
             if shard_size < 1:
                 raise EstimationError(f"shard_size must be >= 1, got {shard_size}")
             shard_size = min(shard_size, self.num_worlds)
         elif workers > 1:
-            # A handful of blocks per worker: enough slack for the pool to
-            # balance, coarse enough to amortise per-task overhead.
-            shard_size = max(1, -(-self.num_worlds // (4 * workers)))
+            # One block per worker: a batch is one task per worker, and the
+            # parent keeps the whole partition (see _cache_blocks below).
+            shard_size = max(1, -(-self.num_worlds // workers))
         else:
             shard_size = self.num_worlds
         self.shard_size = shard_size
+        # The parent's block LRU: the whole default pool partition (as many
+        # blocks as workers), two blocks of an explicit shard_size.
+        self._cache_blocks = (
+            workers if explicit_shard_size is None else _MAX_CACHED_BLOCKS
+        )
 
         if sampler is not None:
             self.sampler = sampler.with_compiled(compiled, self.num_worlds)
@@ -802,7 +821,7 @@ class CompiledCascadeEngine:
 
         # Resident world block (monolithic mode) or a small LRU of shards.
         self._resident_block: Optional[FlatWorldBlock] = None
-        self._block_cache = BlockCache(self.sampler, _MAX_CACHED_BLOCKS)
+        self._block_cache = BlockCache(self.sampler, self._cache_blocks)
         if self.shard_size >= self.num_worlds:
             self._resident_block = self.sampler.draw_block(0, self.num_worlds)
 
@@ -1099,40 +1118,65 @@ class CompiledCascadeEngine:
         snapshot matching — treats deployments with equal seed sets as equal.
         Use :meth:`cascade_world` directly for explicit-order experiments.
         """
-        return self.submit(seeds, allocation).result()
+        return self.submit([(seeds, allocation)]).result()[0]
+
+    @property
+    def batch_size(self) -> int:
+        """Deployments per :meth:`submit` call that batch callers should send.
+
+        One on an in-process engine, which evaluates each deployment eagerly
+        anyway.  On a pool, as many as keep one task's count rows within
+        ``_BATCH_BYTES`` — 40 at 800 nodes.
+        """
+        if self.workers == 1:
+            return 1
+        return max(1, _BATCH_BYTES // (4 * self.compiled.num_nodes))
 
     def submit(
-        self, seeds: Iterable[NodeId], allocation: Mapping[NodeId, int]
+        self, deployments: Sequence[Tuple[Iterable[NodeId], Mapping[NodeId, int]]]
     ) -> "PendingRun":
-        """Start one :meth:`run`-equivalent evaluation; returns its handle.
+        """Start :meth:`run`-equivalent evaluations of a batch; returns its handle.
 
-        With ``workers > 1`` the evaluation's shard blocks are dispatched to
-        the pool and the call returns immediately — several evaluations can
-        be pending at once, pipelining the parent's streaming reductions
-        behind the workers' cascades.  Draining the handles in submission
-        order yields exactly the results sequential :meth:`run` calls would
-        have produced, bit for bit.  On a serial engine the evaluation runs
-        eagerly and the handle is already complete.
+        With ``workers > 1`` the batch goes to the pool as one task per
+        worker world range and the call returns immediately — several
+        batches can be pending at once, pipelining the parent's streaming
+        reductions behind the workers' cascades.  The handle's
+        :meth:`PendingRun.result` yields, per deployment in order, exactly
+        what :meth:`run` would have returned, bit for bit.  On a serial
+        engine the evaluations run eagerly and the handle is already
+        complete.
         """
         compiled = self.compiled
-        num_nodes = compiled.num_nodes
-        seed_indices = compiled.indices_of(sorted(seeds, key=str))
-        if not seed_indices:
-            return PendingRun(self, result=(np.zeros(num_nodes, dtype=np.int64), 0.0))
-
         index = compiled.index
-        coupon_items: List[Tuple[int, int]] = []
-        for node, count in allocation.items():
-            position = index.get(node)
-            if position is not None and int(count) > 0:
-                coupon_items.append((position, int(count)))
+        results: List[Optional[Tuple[np.ndarray, float]]] = []
+        dispatched: List[Tuple[List[int], np.ndarray]] = []
+        for seeds, allocation in deployments:
+            seed_indices = compiled.indices_of(sorted(seeds, key=str))
+            if not seed_indices:
+                results.append(
+                    (np.zeros(compiled.num_nodes, dtype=np.int64), 0.0)
+                )
+                continue
+            coupon_items: List[Tuple[int, int]] = []
+            for node, count in allocation.items():
+                position = index.get(node)
+                if position is not None and int(count) > 0:
+                    coupon_items.append((position, int(count)))
+            if self.workers > 1:
+                results.append(None)
+                dispatched.append((
+                    seed_indices,
+                    np.array(coupon_items, dtype=np.int64).reshape(-1, 2),
+                ))
+                continue
+            counts = self._run_serial(seed_indices, coupon_items)
+            results.append((counts, self._benefit(counts)))
+        pending = self._ensure_executor().submit(dispatched) if dispatched else None
+        return PendingRun(self, results, pending)
 
-        if self.workers > 1:
-            pending = self._ensure_executor().submit(seed_indices, coupon_items)
-            return PendingRun(self, pending=pending)
-        counts = self._run_serial(seed_indices, coupon_items)
-        benefit = float(counts @ compiled.benefits) / self.num_worlds
-        return PendingRun(self, result=(counts, benefit))
+    def _benefit(self, counts: np.ndarray) -> float:
+        """The canonical expected benefit of one activation-count vector."""
+        return float(counts @ self.compiled.benefits) / self.num_worlds
 
     def _run_serial(
         self, seed_indices: List[int], coupon_items: List[Tuple[int, int]]
@@ -1321,7 +1365,7 @@ class CompiledCascadeEngine:
         if segment is not None and getattr(old_compiled, "owns_segment", False):
             _shm.close_segment(segment)
 
-        self._block_cache = BlockCache(self.sampler, _MAX_CACHED_BLOCKS)
+        self._block_cache = BlockCache(self.sampler, self._cache_blocks)
         if self.shard_size >= self.num_worlds:
             self._resident_block = self.sampler.draw_block(0, self.num_worlds)
 
@@ -1397,36 +1441,40 @@ class CompiledCascadeEngine:
 
 
 class PendingRun:
-    """Handle to one in-flight (or already complete) engine evaluation.
+    """Handle to one in-flight (or already complete) batch of engine evaluations.
 
-    :meth:`result` returns exactly what
-    :meth:`CompiledCascadeEngine.run` would have returned for the same
-    inputs — ``(activation_counts, expected_benefit)`` — computing the
-    benefit with the engine's canonical ``counts @ benefits / num_worlds``
-    expression, so pipelined results are bit-identical to sequential ones.
+    :meth:`result` returns, per submitted deployment in order, exactly what
+    :meth:`CompiledCascadeEngine.run` would have returned for it —
+    ``(activation_counts, expected_benefit)`` — computing each benefit with
+    the engine's canonical ``counts @ benefits / num_worlds`` expression, so
+    pipelined batches are bit-identical to sequential runs.
     """
 
-    __slots__ = ("_engine", "_pending", "_result")
+    __slots__ = ("_engine", "_results", "_pending")
 
-    def __init__(self, engine, pending=None, result=None) -> None:
+    def __init__(self, engine, results, pending=None) -> None:
         self._engine = engine
+        self._results = results
         self._pending = pending
-        self._result = result
 
     @property
     def done(self) -> bool:
-        """Whether the result is already available without blocking."""
-        return self._result is not None
+        """Whether the results are already available without blocking."""
+        return self._pending is None
 
-    def result(self) -> Tuple[np.ndarray, float]:
-        """Block until the evaluation completes; returns ``(counts, benefit)``."""
-        if self._result is None:
-            counts = self._pending.result()
-            engine = self._engine
-            benefit = float(counts @ engine.compiled.benefits) / engine.num_worlds
-            self._result = (counts, benefit)
+    def result(self) -> List[Tuple[np.ndarray, float]]:
+        """Block until the batch completes; one ``(counts, benefit)`` each."""
+        if self._pending is not None:
+            rows = iter(self._pending.result())
+            results = []
+            for entry in self._results:
+                if entry is None:
+                    counts = next(rows).astype(np.int64)
+                    entry = (counts, self._engine._benefit(counts))
+                results.append(entry)
+            self._results = results
             self._pending = None
-        return self._result
+        return self._results
 
 
 def _consume_stream(generator: np.random.Generator, num_draws: int) -> None:

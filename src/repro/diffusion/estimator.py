@@ -33,11 +33,11 @@ scheduling unit for that shape — callers *add* deployments to a plan and
   :meth:`BenefitEstimator.expected_benefit` — the serial fallback, trivially
   bit-identical to single calls;
 * :class:`~repro.diffusion.monte_carlo.MonteCarloEstimator` overrides
-  :meth:`~BenefitEstimator.submit_many` to pipeline the uncached evaluations
-  through ``engine.submit`` and the shared shard pool
-  (:mod:`repro.diffusion.parallel`), keeping up to ``pipeline_depth``
-  evaluations in flight — with results bit-identical to the serial loop for
-  every workers / shard-size / pipeline-depth setting.
+  :meth:`~BenefitEstimator.submit_many` to send the uncached evaluations
+  through ``engine.submit`` in chunks — on the shared shard pool
+  (:mod:`repro.diffusion.parallel`) one task per worker per chunk — keeping
+  up to ``pipeline_depth`` chunks in flight, with results bit-identical to
+  the serial loop for every workers / shard-size / pipeline-depth setting.
 
 No layer above the estimator submits comparison evaluations one at a time:
 S3CA's three phases, the baselines and the experiment harness all build plans

@@ -35,7 +35,7 @@ never match a re-built deployment against its snapshot.
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from collections import deque
 from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -98,8 +98,10 @@ class MonteCarloEstimator(BenefitEstimator):
         unregisters this estimator's sampler; shutting the pool down is its
         owner's decision.
     pipeline_depth:
-        How many submitted evaluations :meth:`submit_many` keeps in flight
-        before draining the oldest.  ``None`` (default) picks
+        How many submitted chunks :meth:`submit_many` keeps in flight before
+        draining the oldest.  A chunk is one engine batch: a single
+        deployment in-process, up to ``engine.batch_size`` deployments (one
+        task per worker) on a pool.  ``None`` (default) picks
         ``max(2, 2 * workers)`` — wide enough to keep every worker busy,
         narrow enough to bound the parent's result buffering.  Any value
         produces bit-identical results; only throughput changes.
@@ -168,7 +170,7 @@ class MonteCarloEstimator(BenefitEstimator):
                 raise EstimationError(
                     f"pipeline_depth must be >= 1 or None, got {pipeline_depth}"
                 )
-        #: In-flight evaluations a batch keeps pending before draining the
+        #: In-flight chunks a batch keeps pending before draining the
         #: oldest — the default is wide enough to keep every worker busy,
         #: narrow enough to bound the parent's result buffering.
         self.pipeline_depth = (
@@ -199,43 +201,49 @@ class MonteCarloEstimator(BenefitEstimator):
         The scheduler's batch primitive (every :class:`EvaluationPlan` this
         estimator hands out executes through here).  Returns exactly what
         calling :meth:`expected_benefit` per deployment would return — same
-        numbers, same memoisation — but on a parallel compiled engine the
-        uncached evaluations are *submitted* ahead of being drained (up to
-        :attr:`pipeline_depth` in flight), so the parent's streaming
-        reductions overlap the workers' cascades instead of alternating with
-        them.
+        numbers, same memoisation.  The uncached deployments, deduplicated,
+        go to the engine in chunks of ``engine.batch_size`` (one on an
+        in-process engine; on a pool, as many as one task's count rows fit
+        in a fixed byte budget), with up to :attr:`pipeline_depth` chunks in
+        flight, so on a pool each chunk is one task per worker and the
+        parent's streaming reductions overlap the workers' cascades.
         """
         deployments = [
             (_canonical_seeds(seeds), allocation) for seeds, allocation in deployments
         ]
         results: List[Optional[float]] = [None] * len(deployments)
-        in_flight: "OrderedDict[DeploymentKey, Tuple[object, List[int]]]" = (
-            OrderedDict()
-        )
-
-        def drain_oldest() -> None:
-            key, (run, indices) = next(iter(in_flight.items()))
-            del in_flight[key]
-            counts, benefit = run.result()
-            self._remember(self._benefit_cache, key, benefit)
-            self._remember(
-                self._probability_cache, key, self._counts_to_probabilities(counts)
-            )
-            self.evaluations += 1
-            for position in indices:
-                results[position] = benefit
-
+        uncached: Dict[DeploymentKey, Tuple[list, Mapping[NodeId, int], List[int]]] = {}
         for position, (seeds, allocation) in enumerate(deployments):
             key = self._key(seeds, allocation)
             cached = self._benefit_cache.get(key)
             if cached is not None:
                 results[position] = cached
                 continue
-            entry = in_flight.get(key)
-            if entry is not None:
-                entry[1].append(position)
-                continue
-            in_flight[key] = (self._engine.submit(seeds, allocation), [position])
+            entry = uncached.get(key)
+            if entry is None:
+                uncached[key] = entry = (seeds, allocation, [])
+            entry[2].append(position)
+
+        in_flight: "deque[Tuple[List[DeploymentKey], object]]" = deque()
+
+        def drain_oldest() -> None:
+            keys, run = in_flight.popleft()
+            for key, (counts, benefit) in zip(keys, run.result()):
+                self._remember(self._benefit_cache, key, benefit)
+                self._remember(
+                    self._probability_cache, key,
+                    self._counts_to_probabilities(counts),
+                )
+                self.evaluations += 1
+                for position in uncached[key][2]:
+                    results[position] = benefit
+
+        keys = list(uncached)
+        chunk = self._engine.batch_size
+        for low in range(0, len(keys), chunk):
+            batch = keys[low : low + chunk]
+            run = self._engine.submit([uncached[key][:2] for key in batch])
+            in_flight.append((batch, run))
             if len(in_flight) >= self.pipeline_depth:
                 drain_oldest()
         while in_flight:

@@ -8,32 +8,48 @@ of integer activation counts.  Two classes exploit that:
     A persistent process pool that can serve **many** estimators.  Each
     :class:`~repro.diffusion.engine.WorldSampler` (frozen RNG state + compiled
     CSR graph) is *registered* once: a barrier-synchronised broadcast ships it
-    to every worker exactly once, after which per-evaluation tasks carry only
-    a small token, the block bounds, the seed indices and the sparse coupon
-    vector.  The pool is injectable through every layer
+    to every worker exactly once, after which a task carries only a small
+    token, its range's block bounds and each deployment's seed indices and
+    sparse coupons.  The pool is injectable through every layer
     (``make_estimator(..., pool=...)``), so an experiment sweep spanning
     several scenarios and algorithms runs on **one** pool instead of paying a
     pool start-up per estimator.
 
 :class:`ShardExecutor`
-    One estimator's view onto a pool (owned or injected).  An evaluation is
-    *submitted*: its shard blocks are tagged with their block index and
-    dispatched through ``imap_unordered``, and the returned
-    :class:`PendingCounts` handle folds the per-block activation-count
-    vectors into a running total **in block order** as they arrive (buffering
-    out-of-order completions), so the parent overlaps its reduction with the
-    workers' computation instead of idling in a blocking ``pool.map``.
-    Several evaluations can be pending on the same pool at once — submitting
-    a batch and draining it in submission order pipelines the parent's
-    reductions behind the workers' cascades.
+    One estimator's view onto a pool (owned or injected).  Its world blocks
+    are grouped into one contiguous world range per worker, and an
+    evaluation *batch* — one or more deployments — becomes one task per
+    range: each task cascades every deployment of the batch over every
+    world of its range and returns one activation-count row per deployment.
+    The returned :class:`PendingCounts` handle folds the tasks' count rows
+    into a running total **in range (block) order** as they arrive
+    (buffering out-of-order completions), so the parent overlaps its
+    reduction with the workers' computation instead of idling in a blocking
+    ``pool.map``.  Several batches can be pending on the same pool at once —
+    submitting chunks of a large batch and draining them in submission order
+    pipelines the parent's reductions behind the workers' cascades.  A
+    single evaluation is a batch of one: the workers run one task routine.
 
 Determinism
 -----------
-The per-block counts are integers and the running reduction folds them in
-block order whatever order they complete in, so the final count vector — and
+The per-range counts are integers and the running reduction folds them in
+block order whatever order they complete in, so every final count row — and
 the ``counts @ benefits / num_worlds`` benefit derived from it by the engine —
-is bit-identical to the serial path for any shard size, worker count,
-completion order and pipelining depth.
+is bit-identical to the serial path for any shard size, worker count, batch
+size, completion order and pipelining depth.
+
+Worker death
+------------
+:meth:`PendingCounts.result` waits in short slices.  Between slices it checks
+the worker processes the pool started with; when one of them has died, a
+task of the batch may be lost for good (``multiprocessing`` never re-runs
+it), or the dead worker may hold the task queue's lock so that no task is
+read again, so the handle closes the pool and raises
+:class:`~repro.exceptions.EstimationError` naming the lost worker instead of
+waiting forever.  The pool cannot be reused after that: the replacement
+process ``multiprocessing`` starts holds none of the registered samplers.
+Closing kills the remaining workers before ``Pool.terminate`` and hands back
+a queue lock a dead worker still holds, so it cannot hang either.
 
 Ownership
 ---------
@@ -42,9 +58,10 @@ An executor built *without* an injected pool creates one and owns it:
 injected pool never closes it — closing the executor (or the estimator above
 it) merely unregisters its sampler; the pool keeps serving other estimators
 until its owner calls :meth:`SharedShardPool.close` (or the ``with`` block
-exits).  Every pool also carries a :func:`weakref.finalize` guard — Python
-runs outstanding finalizers at interpreter exit, so a pool whose owner forgot
-to close it is reclaimed at exit instead of leaking worker processes.
+exits) — or until it loses a worker (see above).  Every pool also carries a
+:func:`weakref.finalize` guard — Python runs outstanding finalizers at
+interpreter exit, so a pool whose owner forgot to close it is reclaimed at
+exit instead of leaking worker processes.
 
 The pool prefers the ``fork`` start method on Linux (cheap start-up, the
 graph is inherited rather than re-imported) and uses the platform default
@@ -56,11 +73,13 @@ frameworks), where the broadcast arguments travel pickled —
 from __future__ import annotations
 
 import multiprocessing
+import multiprocessing.pool
+import os
 import pickle
 import sys
 import time
 import weakref
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -75,9 +94,23 @@ _WORKER_CACHE_BLOCKS = 4
 #: reached when a sibling worker died mid-broadcast.
 _BARRIER_TIMEOUT = 120.0
 
-#: One evaluation task: (sampler token, block index, start, count, seeds,
-#: sparse coupon items, use-kernel flag).
-Task = Tuple[int, int, int, int, List[int], List[Tuple[int, int]], bool]
+#: Seconds :meth:`PendingCounts.result` blocks on the pool before checking
+#: that the pool's workers are still alive.
+_WAIT_SLICE = 0.5
+
+#: Seconds a pool shutdown waits for the result queue's lock after killing
+#: the workers; a lock still taken then is held by a dead worker.
+_LOCK_GRACE = 1.0
+
+#: One deployment as a task carries it: (seed indices, sparse coupons as an
+#: int64 ``(m, 2)`` array of ``(node index, coupon count)`` rows — one array
+#: pickles far smaller and faster than ``m`` tuples).
+TaskDeployment = Tuple[List[int], np.ndarray]
+
+#: One evaluation task: (sampler token, range index, the range's blocks as
+#: ``(start, count)`` pairs, the batch's deployments, use-kernel flag).  It
+#: returns ``(range index, counts)`` with one count row per deployment.
+Task = Tuple[int, int, List[Tuple[int, int]], List[TaskDeployment], bool]
 
 #: Per-process worker state, keyed by sampler token.
 _WORKER_STATES: Dict[int, "_WorkerState"] = {}
@@ -177,47 +210,75 @@ def _uninstall_sampler(token: int) -> int:
     return token
 
 
-def evaluate_block_in_state(
+def evaluate_task_in_state(
     state: _WorkerState, task: Task
 ) -> Tuple[int, np.ndarray]:
-    """Evaluate one shard block against a worker state.
+    """Evaluate one task — a batch of deployments over one world range.
 
-    Returns ``(block_index, activation_counts)``.  This is the single
-    evaluation routine shared by the real pool workers and the in-process
-    fake pools the property tests inject, so the two paths cannot drift.
-    Tasks tagged ``use_kernel`` run the block on the worker's native cascade
+    Returns ``(range_index, counts)`` where ``counts[i]`` holds deployment
+    ``i``'s activation counts summed over the range's worlds.  The rows are
+    int32 (a count never exceeds the range's world count), which halves the
+    bytes a task ships back.  Blocks are the outer loop, so each block of
+    the range is materialised once per task whatever the batch size.  This
+    is the single evaluation routine shared by the real pool workers and the
+    in-process fake pools the property tests inject, so the two paths cannot
+    drift.  Tasks tagged ``use_kernel`` run on the worker's native cascade
     kernel; a worker that cannot resolve a backend falls back to the
-    interpreted loop — the per-block counts are bit-identical either way.
+    interpreted loop — the counts are bit-identical either way.
     """
-    _, block_index, start, count, seed_indices, coupon_items, use_kernel = task
-    block = state.cache.block(start, count)
+    _, range_index, blocks, deployments, use_kernel = task
     num_nodes = state.sampler.compiled.num_nodes
+    counts = np.zeros((len(deployments), num_nodes), dtype=np.int32)
+    block_counts = np.empty(num_nodes, dtype=np.int64)
     kernel = state.kernel_or_none() if use_kernel else None
     if kernel is not None:
-        coupons_arr = state.kernel_coupons
-        for position, coupon_count in coupon_items:
-            coupons_arr[position] = coupon_count
-        # Reserve the block's stamp range up front (mirroring the serial
-        # engine): if the kernel raises mid-block, the stamps it already
-        # wrote into `visited` must never be reused by a later task.
-        stamp = state.kernel_stamp
-        state.kernel_stamp = stamp + count
-        counts = np.zeros(num_nodes, dtype=np.int64)
-        try:
-            kernel.cascade_block(
-                block.targets, block.offsets,
-                np.asarray(seed_indices, dtype=np.int32), coupons_arr,
-                state.kernel_visited, stamp, state.kernel_queue, counts,
-            )
-        finally:
-            for position, _ in coupon_items:
-                coupons_arr[position] = 0
-        return block_index, counts
+        evaluate = _kernel_block
+        prepared = [
+            (np.asarray(seed_indices, dtype=np.int32), items[:, 0], items[:, 1])
+            for seed_indices, items in deployments
+        ]
+    else:
+        evaluate = _interpreted_block
+        prepared = [
+            (seed_indices, items.tolist()) for seed_indices, items in deployments
+        ]
+    for start, count in blocks:
+        block = state.cache.block(start, count)
+        for row, deployment in enumerate(prepared):
+            block_counts.fill(0)
+            evaluate(state, block, count, deployment, block_counts)
+            counts[row] += block_counts
+    return range_index, counts
+
+
+def _kernel_block(state: _WorkerState, block, count: int, deployment, counts) -> None:
+    """One deployment over one block on the native kernel, into ``counts``."""
+    seeds, positions, coupon_counts = deployment
+    coupons = state.kernel_coupons
+    coupons[positions] = coupon_counts
+    # Reserve the block's stamp range up front (mirroring the serial
+    # engine): if the kernel raises mid-block, the stamps it already wrote
+    # into `visited` must never be reused by a later task.
+    stamp = state.kernel_stamp
+    state.kernel_stamp = stamp + count
+    try:
+        state.kernel.cascade_block(
+            block.targets, block.offsets, seeds, coupons,
+            state.kernel_visited, stamp, state.kernel_queue, counts,
+        )
+    finally:
+        coupons[positions] = 0
+
+
+def _interpreted_block(
+    state: _WorkerState, block, count: int, deployment, counts
+) -> None:
+    """One deployment over one block on the interpreted loop, into ``counts``."""
+    seed_indices, coupon_items = deployment
     coupons = state.coupons
     for position, coupon_count in coupon_items:
         coupons[position] = coupon_count
-    # Same up-front stamp-range reservation as above for the interpreted
-    # stamp stream.
+    # Same up-front stamp-range reservation as the kernel path.
     stamp = state.stamp
     state.stamp = stamp + count
     try:
@@ -227,20 +288,60 @@ def evaluate_block_in_state(
     finally:
         for position, _ in coupon_items:
             coupons[position] = 0
-    counts = np.bincount(
-        np.asarray(flat_activations, dtype=np.int64),
-        minlength=num_nodes,
+    counts += np.bincount(
+        np.asarray(flat_activations, dtype=np.int64), minlength=counts.shape[0],
     )
-    return block_index, counts
 
 
-def _evaluate_block(task: Task) -> Tuple[int, np.ndarray]:
-    return evaluate_block_in_state(_WORKER_STATES[task[0]], task)
+def _evaluate_task(task: Task) -> Tuple[int, np.ndarray]:
+    state = _WORKER_STATES.get(task[0])
+    if state is None:
+        # A process the pool started after the sampler's broadcast (it
+        # replaced a dead worker) never received it.
+        raise EstimationError(
+            f"pool worker pid {os.getpid()} has no sampler {task[0]}: it was "
+            f"started after the sampler was registered"
+        )
+    return evaluate_task_in_state(state, task)
 
 
-def _shutdown_pool(pool) -> None:
+def _shutdown_pool(pool, workers) -> None:
+    """Terminate a ``multiprocessing`` pool, also one that lost a worker."""
+    if any(process.exitcode is not None for process in workers):
+        _kill_broken_pool(pool)
     pool.terminate()
     pool.join()
+
+
+def _kill_broken_pool(pool) -> None:
+    """Make ``Pool.terminate`` safe on a pool one of whose workers died.
+
+    A worker killed while it waits for a task or sends a result dies holding
+    that queue's lock, or half way through a message, and ``Pool.terminate``
+    would then wait forever or read garbage.  So the workers go first: the
+    worker handler is stopped (no replacements), every worker is killed and
+    joined, and the parent closes its end of the task pipe, which makes a
+    task handler blocked on a full pipe fail instead of waiting.  A queue
+    lock still taken after that belongs to a dead worker and is handed back.
+    """
+    handler = pool._worker_handler
+    handler._state = multiprocessing.pool.TERMINATE
+    pool._change_notifier.put(None)
+    handler.join()
+    pool._task_handler._state = multiprocessing.pool.TERMINATE
+    for process in pool._pool:
+        process.kill()
+    for process in pool._pool:
+        process.join()
+    pool._inqueue._reader.close()
+    result_lock = pool._outqueue._wlock  # None on Windows
+    if result_lock is not None:
+        # The task handler holds it only for its one-line stop sentinel.
+        result_lock.acquire(timeout=_LOCK_GRACE)
+        result_lock.release()
+    pool._task_handler.join()
+    pool._inqueue._rlock.acquire(block=False)  # no live worker can hold it
+    pool._inqueue._rlock.release()
 
 
 class SharedShardPool:
@@ -285,6 +386,9 @@ class SharedShardPool:
         self._pool = context.Pool(
             self.workers, initializer=_init_worker, initargs=(self._barrier,)
         )
+        # The pool replaces a worker only after one died, so these are the
+        # processes whose death marks the pool broken.
+        self._workers = tuple(self._pool._pool)
         # token -> sampler: the strong reference keeps id() keys stable.
         self._samplers: Dict[int, WorldSampler] = {}
         self._token_by_id: Dict[int, int] = {}
@@ -297,7 +401,9 @@ class SharedShardPool:
         self.broadcast_bytes_total = 0
         self.last_broadcast_seconds = 0.0
         self.broadcast_seconds_total = 0.0
-        self._finalizer = weakref.finalize(self, _shutdown_pool, self._pool)
+        self._finalizer = weakref.finalize(
+            self, _shutdown_pool, self._pool, self._workers
+        )
         _LIVE_POOLS.add(self)
 
     # ------------------------------------------------------------------
@@ -353,16 +459,26 @@ class SharedShardPool:
         self._token_by_id.pop(id(sampler), None)
         self._pool.map(_uninstall_sampler, [token] * self.workers, chunksize=1)
 
-    def imap_unordered(
-        self, tasks: Iterable[Task]
-    ) -> Iterator[Tuple[int, np.ndarray]]:
-        """Dispatch evaluation tasks; yields ``(block_index, counts)`` as done."""
+    def imap_unordered(self, tasks: Sequence[Task]):
+        """Dispatch evaluation tasks; yields ``(range_index, counts)`` as done.
+
+        The returned iterator's ``next(timeout=...)`` raises
+        :class:`multiprocessing.TimeoutError` when nothing completes in time,
+        which is how :class:`PendingCounts` interleaves its liveness checks.
+        """
         self._require_open()
-        return self._pool.imap_unordered(_evaluate_block, tasks, chunksize=1)
+        return self._pool.imap_unordered(_evaluate_task, tasks, chunksize=1)
+
+    def processes(self) -> Tuple[multiprocessing.process.BaseProcess, ...]:
+        """The worker processes the pool started with (for death checks)."""
+        return self._workers
 
     def close(self) -> None:
-        """Terminate the workers; idempotent."""
+        """Terminate the workers and drop the registered samplers; idempotent."""
         self._finalizer()
+        # A closed pool must not pin its samplers' shared graphs.
+        self._samplers.clear()
+        self._token_by_id.clear()
 
     def _require_open(self) -> None:
         if self.closed:
@@ -376,72 +492,106 @@ class SharedShardPool:
 
 
 class PendingCounts:
-    """Handle to one in-flight evaluation's streaming reduction.
+    """Handle to one in-flight batch's streaming reduction.
 
-    Results are folded into the running total **in block order**: a block
-    completing early is buffered until every earlier block has been folded.
+    Each task returns one int32 count row per deployment of the batch; the
+    rows are folded into the running total **in range order**: a range
+    completing early is buffered until every earlier range has been folded.
     ``wait_seconds`` accumulates the time the parent spent blocked waiting
     for the next completion — the parent's idle time, which pipelining
-    several pending evaluations is designed to fill.
+    several pending batches is designed to fill.
     """
 
     __slots__ = (
-        "_iterator", "_remaining", "_buffer", "_next_block", "_counts",
-        "_owner", "_reported", "wait_seconds",
+        "_executor", "_iterator", "_remaining", "_buffer", "_next_range",
+        "_counts", "_reported", "wait_seconds",
     )
 
     def __init__(
         self,
-        iterator: Iterator[Tuple[int, np.ndarray]],
-        num_blocks: int,
-        num_nodes: int,
-        owner: Optional["ShardExecutor"] = None,
+        executor: "ShardExecutor",
+        iterator,
+        num_tasks: int,
+        num_rows: int,
     ) -> None:
+        self._executor = executor
         self._iterator = iterator
-        self._remaining = num_blocks
+        self._remaining = num_tasks
         self._buffer: Dict[int, np.ndarray] = {}
-        self._next_block = 0
-        self._counts = np.zeros(num_nodes, dtype=np.int64)
-        self._owner = owner
+        self._next_range = 0
+        # int32 like the task rows: a total never exceeds num_worlds.
+        self._counts = np.zeros((num_rows, executor.num_nodes), dtype=np.int32)
         self._reported = False
         self.wait_seconds = 0.0
 
     @property
     def done(self) -> bool:
-        """Whether every block has been received and folded."""
+        """Whether every task has been received and folded."""
         return self._remaining == 0
 
     def result(self) -> np.ndarray:
-        """Drain the remaining blocks and return the total count vector."""
+        """Drain the remaining tasks; returns one count row per deployment."""
         buffer = self._buffer
         while self._remaining:
             began = time.perf_counter()
-            try:
-                block_index, block_counts = next(self._iterator)
-            except StopIteration:
-                # The pool was torn down (owner close / finalizer) with this
-                # evaluation still in flight; surface the module's error
-                # contract instead of a bare StopIteration → RuntimeError.
-                raise EstimationError(
-                    f"worker pool closed with {self._remaining} shard "
-                    f"block(s) outstanding"
-                ) from None
+            range_index, range_counts = self._next_completion()
             self.wait_seconds += time.perf_counter() - began
             self._remaining -= 1
-            buffer[block_index] = block_counts
-            while self._next_block in buffer:
-                self._counts += buffer.pop(self._next_block)
-                self._next_block += 1
+            buffer[range_index] = range_counts
+            while self._next_range in buffer:
+                self._counts += buffer.pop(self._next_range)
+                self._next_range += 1
         if self._buffer:
             raise EstimationError(
-                f"shard reduction is missing blocks before "
+                f"shard reduction is missing ranges before "
                 f"{min(self._buffer)} (got {sorted(self._buffer)})"
             )
-        if self._owner is not None and not self._reported:
+        if not self._reported:
             self._reported = True
-            self._owner.completed += 1
-            self._owner.wait_seconds_total += self.wait_seconds
+            self._executor.completed += 1
+            self._executor.wait_seconds_total += self.wait_seconds
         return self._counts
+
+    def _next_completion(self) -> Tuple[int, np.ndarray]:
+        """The next finished task, checking worker liveness between slices."""
+        while True:
+            try:
+                return self._iterator.next(timeout=_WAIT_SLICE)
+            except multiprocessing.TimeoutError:
+                pass
+            except StopIteration:
+                raise EstimationError(
+                    f"worker pool stopped with {self._remaining} task(s) "
+                    f"outstanding"
+                ) from None
+            except EstimationError:
+                # A dead worker's replacement has no sampler: name the death.
+                self._check_workers()
+                raise
+            self._check_workers()
+
+    def _check_workers(self) -> None:
+        """Raise when the pool was closed or lost a worker (closing it)."""
+        pool = self._executor.pool
+        if pool.closed:
+            raise EstimationError(
+                f"worker pool closed with {self._remaining} task(s) outstanding"
+            )
+        lost = [
+            process for process in pool.processes()
+            if process.exitcode is not None
+        ]
+        if lost:
+            pool.close()
+            names = ", ".join(
+                f"{process.name} (pid {process.pid}, exit code "
+                f"{process.exitcode})"
+                for process in lost
+            )
+            raise EstimationError(
+                f"pool worker {names} died with {self._remaining} task(s) "
+                f"outstanding; the pool is closed"
+            )
 
 
 class ShardExecutor:
@@ -452,7 +602,12 @@ class ShardExecutor:
     :class:`SharedShardPool` of its own and :meth:`close` tears it down; with
     an injected pool the executor only registers its sampler and :meth:`close`
     merely unregisters it — **an executor never closes a pool it does not
-    own**.
+    own** (a pool that lost a worker is the exception: see
+    :class:`PendingCounts`).
+
+    The ``shard_size`` blocks are grouped into one contiguous world range per
+    pool worker (fewer when there are fewer blocks); every submitted batch is
+    one task per range.
     """
 
     def __init__(
@@ -472,7 +627,7 @@ class ShardExecutor:
         #: share one pool; a worker without a resolvable backend falls back
         #: to the interpreted loop with identical counts.
         self.use_kernel = bool(use_kernel)
-        self._blocks: List[Tuple[int, int]] = [
+        blocks = [
             (start, min(shard_size, num_worlds - start))
             for start in range(0, num_worlds, shard_size)
         ]
@@ -480,7 +635,7 @@ class ShardExecutor:
             if workers is None:
                 raise EstimationError("either workers or pool is required")
             pool = SharedShardPool(
-                min(int(workers), len(self._blocks)),
+                min(int(workers), len(blocks)),
                 start_method=start_method,
                 cache_blocks=cache_blocks,
             )
@@ -489,10 +644,11 @@ class ShardExecutor:
             self._owns_pool = False
         self.pool = pool
         self.workers = pool.workers
+        self._ranges = worker_ranges(blocks, self.workers)
         self.num_nodes = sampler.compiled.num_nodes
         self._token = pool.register(sampler)
         self._closed = False
-        #: Completed evaluations and the parent's cumulative blocked time,
+        #: Completed batches and the parent's cumulative blocked time,
         #: reported by the PendingCounts handles (benchmark instrumentation).
         self.completed = 0
         self.wait_seconds_total = 0.0
@@ -505,33 +661,23 @@ class ShardExecutor:
         """Whether :meth:`close` has been called."""
         return self._closed
 
-    def submit(
-        self, seed_indices: List[int], coupon_items: List[Tuple[int, int]]
-    ) -> PendingCounts:
-        """Dispatch one evaluation; returns its streaming-reduction handle.
+    def submit(self, deployments: Sequence[TaskDeployment]) -> PendingCounts:
+        """Dispatch a batch of deployments; returns its streaming-reduction handle.
 
-        Several submissions may be pending at once: their tasks interleave on
-        the pool and each handle drains only its own results, so a caller can
-        pipeline a batch by submitting all of it before draining in
-        submission order.
+        The batch becomes one task per world range.  Several batches may be
+        pending at once: their tasks interleave on the pool and each handle
+        drains only its own results, so a caller can pipeline chunks of a
+        large batch by submitting them before draining in submission order.
         """
         if self._closed:
             raise EstimationError("ShardExecutor is closed")
+        deployments = list(deployments)
         tasks: List[Task] = [
-            (
-                self._token, block_index, start, count,
-                seed_indices, coupon_items, self.use_kernel,
-            )
-            for block_index, (start, count) in enumerate(self._blocks)
+            (self._token, range_index, blocks, deployments, self.use_kernel)
+            for range_index, blocks in enumerate(self._ranges)
         ]
         iterator = self.pool.imap_unordered(tasks)
-        return PendingCounts(iterator, len(tasks), self.num_nodes, owner=self)
-
-    def run_counts(
-        self, seed_indices: List[int], coupon_items: List[Tuple[int, int]]
-    ) -> np.ndarray:
-        """Activation counts over every world, reduced in block order."""
-        return self.submit(seed_indices, coupon_items).result()
+        return PendingCounts(self, iterator, len(tasks), len(deployments))
 
     def close(self) -> None:
         """Release the executor: owned pools shut down, injected pools stay."""
@@ -548,3 +694,14 @@ class ShardExecutor:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
+
+
+def worker_ranges(
+    blocks: List[Tuple[int, int]], workers: int
+) -> List[List[Tuple[int, int]]]:
+    """Split ``blocks`` into at most ``workers`` contiguous, near-equal runs."""
+    runs = min(workers, len(blocks))
+    return [
+        blocks[index * len(blocks) // runs : (index + 1) * len(blocks) // runs]
+        for index in range(runs)
+    ]

@@ -8,12 +8,15 @@ benefit trace (every intermediate ID-phase snapshot) and the same reported
 metrics as the serial resident-worlds run.
 """
 
+import collections
+
 import pytest
 
 from repro.core.investment import InvestmentDeployment
 from repro.core.s3ca import S3CA
 from repro.diffusion.factory import make_estimator
 from repro.experiments.scalability import synthetic_scenario
+from repro.utils import shm
 
 NUM_SAMPLES = 30
 SEED = 2019
@@ -76,3 +79,39 @@ def test_parallel_sharded_id_phase_benefit_trace_matches_serial(scenario):
     assert parallel_trace == serial_trace
     assert parallel_result.iterations == serial_result.iterations
     assert parallel_result.explored_nodes == serial_result.explored_nodes
+
+
+def test_default_partition_maps_each_world_block_once_in_the_parent(
+    scenario, monkeypatch
+):
+    """workers=2, default sharding: one block per worker, each mapped once.
+
+    The parent keeps the whole default partition, so its delta passes never
+    re-attach (or re-draw) a block the workers published.
+    """
+    mapped = collections.Counter()
+    attach, create = shm.attach_segment, shm.create_segment
+
+    def counting_attach(name):
+        mapped[name] += 1
+        return attach(name)
+
+    def counting_create(name, size):
+        mapped[name] += 1
+        return create(name, size)
+
+    serial = _solve(scenario)
+    monkeypatch.setattr(shm, "attach_segment", counting_attach)
+    monkeypatch.setattr(shm, "create_segment", counting_create)
+    parallel = _solve(scenario, workers=2)
+    blocks = {
+        name: count for name, count in mapped.items()
+        if name and f"{shm.SEGMENT_PREFIX}wb-" in name and not name.endswith("-r")
+    }
+    assert blocks  # the parent did map world blocks
+    assert len(blocks) <= 2  # one block per worker
+    assert max(blocks.values()) == 1
+    assert parallel.seeds == serial.seeds
+    assert parallel.allocation == serial.allocation
+    assert parallel.expected_benefit == serial.expected_benefit
+    assert parallel.explored_nodes == serial.explored_nodes

@@ -50,7 +50,13 @@ def instance(draw):
 
 
 def reference_estimates(graph, num_worlds, seed, seeds, allocation):
-    """Activation probabilities and expected benefit from the reference loop."""
+    """Activation probabilities and expected benefit from the reference loop.
+
+    The engine cascades the seeds in canonical (``str``-sorted) order, and
+    the queue order decides who gets a contested coupon, so the reference
+    runs that order too.
+    """
+    seeds = sorted(seeds, key=str)
     counts = {}
     total = 0.0
     for world in sample_worlds(graph, num_worlds, seed):
